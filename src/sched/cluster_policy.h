@@ -18,7 +18,9 @@
 // a system. Ties break on the lowest index — determinism is a contract.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/ids.h"
@@ -48,8 +50,72 @@ struct ClusterView {
 
 /// Best usable local worker with at least `demand` free, by most-free with
 /// lowest-index tie-break; -1 when the cluster cannot host the request.
+/// O(n) reference scan: the per-cluster loop asks WorkerIndex instead, and
+/// this stays as the oracle its tests and audits compare against.
 int PickLocalWorker(const std::vector<WorkerView>& workers,
                     Millicores demand);
+
+/// Incremental PickLocalWorker plus the aggregates the per-cluster loop
+/// reads on every placement and sync, over a worker table the owner keeps:
+///
+///   - a max tournament tree over usable workers' free CPU (unusable
+///     workers hold kUnusable), whose leftmost maximum is exactly
+///     PickLocalWorker's most-free, lowest-index choice;
+///   - running sums of usable workers' capacity, used and BE-used CPU, and
+///     the count of alive workers.
+///
+/// The owner reports every change of a worker's view or BE usage through
+/// Update (O(log n)); Pick is then O(log n) and every sum O(1).
+class WorkerIndex {
+ public:
+  /// Tree value of a worker that is dead or draining.
+  static constexpr Millicores kUnusable =
+      std::numeric_limits<Millicores>::min();
+
+  WorkerIndex() : WorkerIndex({}, {}) {}
+  /// Index `workers` (with BE usage `be_used`, same length) from scratch.
+  WorkerIndex(const std::vector<WorkerView>& workers,
+              const std::vector<Millicores>& be_used);
+
+  /// Worker `i` changed from (`before`, `be_before`) to (`after`,
+  /// `be_after`).
+  void Update(std::size_t i, const WorkerView& before, Millicores be_before,
+              const WorkerView& after, Millicores be_after);
+
+  /// Same answer as PickLocalWorker over the indexed table.
+  int Pick(Millicores demand) const;
+
+  Millicores usable_capacity() const { return sums_.capacity; }
+  Millicores usable_used() const { return sums_.used; }
+  Millicores usable_be_used() const { return sums_.be_used; }
+  Millicores usable_free() const { return sums_.capacity - sums_.used; }
+  std::int32_t live_workers() const { return sums_.live; }
+
+  /// Audit the index against the table it claims to mirror: every tree
+  /// leaf and internal node, every sum against a rescan, and Pick against
+  /// PickLocalWorker at the demands that bracket the best free value.
+  /// O(n); compiles to nothing unless TANGO_AUDIT.
+  void Audit(const std::vector<WorkerView>& workers,
+             const std::vector<Millicores>& be_used, SimTime now) const;
+
+ private:
+  struct Sums {
+    Millicores capacity = 0;  // over usable workers
+    Millicores used = 0;
+    Millicores be_used = 0;
+    std::int32_t live = 0;  // alive workers, draining or not
+
+    void Count(const WorkerView& w, Millicores be, int sign);
+    bool operator==(const Sums&) const = default;
+  };
+  static Millicores LeafValue(const WorkerView& w) {
+    return w.usable() ? w.free() : kUnusable;
+  }
+
+  std::size_t leaves_ = 0;        // power of two >= worker count
+  std::vector<Millicores> tree_;  // 1-based heap layout, leaves at leaves_
+  Sums sums_;
+};
 
 /// Worker holding the most BE usage (eviction victim candidate); -1 when no
 /// usable worker has `min_be` or more BE resident.

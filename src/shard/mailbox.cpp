@@ -41,6 +41,7 @@ const char* MsgKindName(MsgKind kind) {
 
 MailboxGrid::MailboxGrid(int num_shards) : num_shards_(num_shards) {
   TANGO_CHECK(num_shards >= 1, "grid needs at least one shard");
+  drained_.assign(static_cast<std::size_t>(num_shards), 0);
   pairs_.resize(static_cast<std::size_t>(num_shards) *
                 static_cast<std::size_t>(num_shards));
 }
@@ -74,7 +75,8 @@ void MailboxGrid::Drain(int dst, std::vector<ShardMessage>& sink) {
   for (int src = 0; src < num_shards_; ++src) {
     Pair& p = At(src, dst);
     if (p.in.empty()) continue;
-    drained_ += static_cast<std::int64_t>(p.in.size());
+    drained_[static_cast<std::size_t>(dst)] +=
+        static_cast<std::int64_t>(p.in.size());
     // TANGOVET_ALLOW_NEXT(amortized: pooled capacity)
     sink.insert(sink.end(), p.in.begin(), p.in.end());
     p.in.clear();

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "shard/message.h"
@@ -74,8 +75,13 @@ class MailboxGrid {
   /// Messages moved out of outboxes by Exchange so far.
   std::int64_t exchanged() const { return exchanged_; }
   /// Messages handed to shard tasks by Drain so far. At quiescence
-  /// exchanged() == drained(); the engine audits the difference.
-  std::int64_t drained() const { return drained_; }
+  /// exchanged() == drained(); the engine audits the difference. Read it
+  /// only between epochs: the per-shard counts are written by the shard
+  /// tasks.
+  std::int64_t drained() const {
+    return std::accumulate(drained_.begin(), drained_.end(),
+                           std::int64_t{0});
+  }
 
  private:
   struct Pair {
@@ -96,7 +102,9 @@ class MailboxGrid {
   int num_shards_ = 1;
   SimTime bound_ = 0;
   std::int64_t exchanged_ = 0;
-  std::int64_t drained_ = 0;
+  /// Messages drained per destination shard. Shard tasks drain in
+  /// parallel, so each count has exactly one writer: that shard's task.
+  std::vector<std::int64_t> drained_;
   std::vector<Pair> pairs_;
 };
 

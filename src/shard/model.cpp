@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <utility>
 
+#include "audit/audit.h"
 #include "common/logging.h"
 
 namespace tango::shard {
@@ -77,14 +79,17 @@ ClusterModel::ClusterModel(const ModelConfig* cfg,
 
   workers_.resize(static_cast<std::size_t>(spec_.num_workers));
   be_used_.assign(workers_.size(), 0);
-  membw_load_.assign(workers_.size(), 0.0);
-  llc_load_.assign(workers_.size(), 0.0);
+  if (cfg_->interference != nullptr) {
+    membw_load_.assign(workers_.size(), 0.0);
+    llc_load_.assign(workers_.size(), 0.0);
+  }
   worker_execs_.resize(workers_.size());
   for (auto& w : workers_) {
     w.capacity = spec_.heterogeneous
                      ? rng_.UniformInt(spec_.min_cpu, spec_.max_cpu)
                      : spec_.worker_capacity.cpu;
   }
+  worker_index_ = sched::WorkerIndex(workers_, be_used_);
 
   const int n = cfg_->topology->num_clusters();
   views_.resize(static_cast<std::size_t>(n));
@@ -92,17 +97,18 @@ ClusterModel::ClusterModel(const ModelConfig* cfg,
   master_alive_view_.assign(static_cast<std::size_t>(n), 1);
   links_.assign(static_cast<std::size_t>(n), LinkFault{});
   nearby_ = cfg_->topology->NearbyClusters(id_, cfg_->lc_nearby_radius_km);
+  // Failover preference: nearest first, lowest id on equal delay. Delays
+  // are computed once per peer rather than once per sort comparison.
+  std::vector<std::pair<SimDuration, ClusterId>> by_delay;
+  by_delay.reserve(static_cast<std::size_t>(n));
   for (int c = 0; c < n; ++c) {
-    if (c != id_.value) delegate_order_.push_back(ClusterId{c});
+    if (c == id_.value) continue;
+    by_delay.emplace_back(cfg_->topology->OneWayDelay(id_, ClusterId{c}),
+                          ClusterId{c});
   }
-  const net::Topology* topo = cfg_->topology;
-  std::sort(delegate_order_.begin(), delegate_order_.end(),
-            [topo, this](ClusterId a, ClusterId b) {
-              const SimDuration da = topo->OneWayDelay(id_, a);
-              const SimDuration db = topo->OneWayDelay(id_, b);
-              if (da != db) return da < db;
-              return a < b;
-            });
+  std::sort(by_delay.begin(), by_delay.end());
+  delegate_order_.reserve(by_delay.size());
+  for (const auto& entry : by_delay) delegate_order_.push_back(entry.second);
 }
 
 Millicores ClusterModel::capacity_total() const {
@@ -280,7 +286,7 @@ void ClusterModel::ArmLcTick() {
 }
 
 bool ClusterModel::TryPlaceLc(const Payload& p) {
-  int w = sched::PickLocalWorker(workers_, p.demand);
+  int w = worker_index_.Pick(p.demand);
   if (w < 0) {
     // No worker fits: evict BE (restart elsewhere, §4.1) when that frees
     // enough on the heaviest-BE worker.
@@ -459,19 +465,13 @@ void ClusterModel::BeDispatch() {
 }
 
 bool ClusterModel::AdmitBeLocal(const Payload& p) {
-  Millicores cap = 0;
-  Millicores used_be = 0;
-  Millicores used_lc = 0;
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    if (!workers_[w].usable()) continue;
-    cap += workers_[w].capacity;
-    used_be += be_used_[w];
-    used_lc += workers_[w].used - be_used_[w];
-  }
-  if (!hrm::AdmitBe(cfg_->be_guard, cap, used_lc, used_be, p.demand)) {
+  const sched::WorkerIndex& ix = worker_index_;
+  if (!hrm::AdmitBe(cfg_->be_guard, ix.usable_capacity(),
+                    ix.usable_used() - ix.usable_be_used(),
+                    ix.usable_be_used(), p.demand)) {
     return false;
   }
-  const int w = sched::PickLocalWorker(workers_, p.demand);
+  const int w = ix.Pick(p.demand);
   if (w < 0) return false;
   StartExec(w, p);
   return true;
@@ -500,6 +500,22 @@ void ClusterModel::CompleteBe(const Payload& p) {
 
 // --- execution ------------------------------------------------------------
 
+void ClusterModel::UpdateWorker(std::int32_t worker,
+                                const sched::WorkerView& view,
+                                Millicores be_used) {
+  const auto i = static_cast<std::size_t>(worker);
+  worker_index_.Update(i, workers_[i], be_used_[i], view, be_used);
+  workers_[i] = view;
+  be_used_[i] = be_used;
+  if constexpr (audit::kEnabled) {
+    // O(workers) rescan, so throttle it like the simulator's heap sweep;
+    // drift is still caught within 64 mutations.
+    if ((++index_audit_tick_ & 63) == 0) {
+      worker_index_.Audit(workers_, be_used_, sim_->Now());
+    }
+  }
+}
+
 void ClusterModel::StartExec(std::int32_t worker, const Payload& p) {
   std::int32_t slot;
   if (!free_execs_.empty()) {
@@ -514,7 +530,7 @@ void ClusterModel::StartExec(std::int32_t worker, const Payload& p) {
   e.req = p;
   e.worker = worker;
   e.live = true;
-  auto& w = workers_[static_cast<std::size_t>(worker)];
+  const sched::WorkerView& w = workers_[static_cast<std::size_t>(worker)];
   // Admission-time interference: the incoming request's exec time is
   // inflated by its response to the worker's co-runner pressure, read
   // before the request's own contribution lands. The enabled-only block
@@ -536,8 +552,11 @@ void ClusterModel::StartExec(std::int32_t worker, const Payload& p) {
         prof.membw_intensity * cores;
     llc_load_[static_cast<std::size_t>(worker)] += prof.llc_intensity * cores;
   }
-  w.used += p.demand;
-  if (!p.is_lc) be_used_[static_cast<std::size_t>(worker)] += p.demand;
+  sched::WorkerView next = w;
+  next.used += p.demand;
+  UpdateWorker(worker, next,
+               be_used_[static_cast<std::size_t>(worker)] +
+                   (p.is_lc ? 0 : p.demand));
   // TANGOVET_ALLOW_NEXT(amortized: pooled capacity)
   worker_execs_[static_cast<std::size_t>(worker)].push_back(slot);
   e.done = sim_->ScheduleAfter(exec_us, [this, slot] { FinishExec(slot); });
@@ -548,11 +567,11 @@ void ClusterModel::StartExec(std::int32_t worker, const Payload& p) {
 void ClusterModel::ReleaseExec(std::int32_t slot) {
   Exec& e = execs_[static_cast<std::size_t>(slot)];
   TANGO_CHECK(e.live, "releasing a dead exec slot");
-  auto& w = workers_[static_cast<std::size_t>(e.worker)];
-  w.used -= e.req.demand;
-  if (!e.req.is_lc) {
-    be_used_[static_cast<std::size_t>(e.worker)] -= e.req.demand;
-  }
+  sched::WorkerView next = workers_[static_cast<std::size_t>(e.worker)];
+  next.used -= e.req.demand;
+  UpdateWorker(e.worker, next,
+               be_used_[static_cast<std::size_t>(e.worker)] -
+                   (e.req.is_lc ? 0 : e.req.demand));
   if (cfg_->interference != nullptr) {
     const auto& prof = cfg_->interference->Profile(e.req.service);
     const double cores = static_cast<double>(e.req.demand) / 1000.0;
@@ -609,26 +628,10 @@ Millicores ClusterModel::EvictBeFrom(std::int32_t worker, Millicores need) {
 
 // --- state sync & control --------------------------------------------------
 
-Millicores ClusterModel::UsableFree() const {
-  Millicores free = 0;
-  for (const auto& w : workers_) {
-    if (w.usable()) free += w.free();
-  }
-  return free;
-}
-
-std::int32_t ClusterModel::LiveWorkers() const {
-  std::int32_t live = 0;
-  for (const auto& w : workers_) {
-    if (w.alive) ++live;
-  }
-  return live;
-}
-
 void ClusterModel::SyncTick() {
   if (!master_alive_) return;
-  const Millicores free = UsableFree();
-  const std::int32_t live = LiveWorkers();
+  const Millicores free = worker_index_.usable_free();
+  const std::int32_t live = worker_index_.live_workers();
   if (free == last_free_ && live == last_live_ && !force_push_) {
     ++stats_.deltas_skipped;
     return;
@@ -695,7 +698,9 @@ void ClusterModel::ApplyFault(const fault::FaultEvent& ev) {
     case fault::FaultKind::kNodeCrash: {
       const std::int32_t w = LocalWorkerIndex(ev.node);
       if (w < 0 || !workers_[static_cast<std::size_t>(w)].alive) return;
-      workers_[static_cast<std::size_t>(w)].alive = false;
+      sched::WorkerView down = workers_[static_cast<std::size_t>(w)];
+      down.alive = false;
+      UpdateWorker(w, down, be_used_[static_cast<std::size_t>(w)]);
       FoldEvent(kDigFault, static_cast<std::uint64_t>(ev.node.value), 0);
       // Lose everything running on the node; origins learn after the
       // failure detector fires.
@@ -717,19 +722,20 @@ void ClusterModel::ApplyFault(const fault::FaultEvent& ev) {
     case fault::FaultKind::kNodeRecover: {
       const std::int32_t w = LocalWorkerIndex(ev.node);
       if (w < 0 || workers_[static_cast<std::size_t>(w)].alive) return;
-      workers_[static_cast<std::size_t>(w)].alive = true;
+      sched::WorkerView up = workers_[static_cast<std::size_t>(w)];
+      up.alive = true;
+      UpdateWorker(w, up, be_used_[static_cast<std::size_t>(w)]);
       FoldEvent(kDigFault, static_cast<std::uint64_t>(ev.node.value), 1);
       if (lc_head_ < lc_queue_.size()) ArmLcTick();
       break;
     }
-    case fault::FaultKind::kNodeDrain: {
-      const std::int32_t w = LocalWorkerIndex(ev.node);
-      if (w >= 0) workers_[static_cast<std::size_t>(w)].draining = true;
-      break;
-    }
+    case fault::FaultKind::kNodeDrain:
     case fault::FaultKind::kNodeUndrain: {
       const std::int32_t w = LocalWorkerIndex(ev.node);
-      if (w >= 0) workers_[static_cast<std::size_t>(w)].draining = false;
+      if (w < 0) return;
+      sched::WorkerView v = workers_[static_cast<std::size_t>(w)];
+      v.draining = ev.kind == fault::FaultKind::kNodeDrain;
+      UpdateWorker(w, v, be_used_[static_cast<std::size_t>(w)]);
       break;
     }
     case fault::FaultKind::kLinkDegrade:

@@ -226,6 +226,12 @@ class ClusterModel {
   ClusterId BelievedCentral() const;
 
   // --- execution ---------------------------------------------------------
+  /// The one place a worker's view or BE usage changes (exec start and
+  /// release, crash, recover, drain, undrain): writes the new state and
+  /// keeps worker_index_ in step with workers_ and be_used_. TANGO_AUDIT
+  /// builds rescan the index against the table every 64th call.
+  void UpdateWorker(std::int32_t worker, const sched::WorkerView& view,
+                    Millicores be_used);
   void StartExec(std::int32_t worker, const Payload& p);
   void FinishExec(std::int32_t slot);
   void ReleaseExec(std::int32_t slot);
@@ -259,8 +265,6 @@ class ClusterModel {
   }
   void FoldEvent(std::uint8_t code, std::uint64_t a, std::uint64_t b = 0);
   void CountLatency(SimDuration latency);
-  Millicores UsableFree() const;
-  std::int32_t LiveWorkers() const;
 
   const ModelConfig* cfg_;
   k8s::ClusterSpec spec_;
@@ -276,9 +280,13 @@ class ClusterModel {
   bool master_alive_ = true;
   std::vector<sched::WorkerView> workers_;
   std::vector<Millicores> be_used_;
+  /// Placement tree and usable/live sums over workers_ and be_used_;
+  /// written only by UpdateWorker.
+  sched::WorkerIndex worker_index_;
+  std::uint64_t index_audit_tick_ = 0;  // UpdateWorker calls since a rescan
   std::vector<std::vector<std::int32_t>> worker_execs_;
   /// Per-worker co-runner pressure loads (intensity × granted cores),
-  /// maintained only when cfg_->interference is set.
+  /// allocated and maintained only when cfg_->interference is set.
   std::vector<double> membw_load_;
   std::vector<double> llc_load_;
   std::unique_ptr<storm::ScenarioSource> storm_source_;

@@ -17,19 +17,23 @@ std::uint32_t Simulator::AllocSlot() {
   if (pool_.size() == pool_.capacity()) ++alloc_events_;
   // TANGOVET_ALLOW_NEXT(amortized: pooled capacity)
   pool_.emplace_back();
-  // heap_/free_ can never hold more entries than the pool has slots, so
+  // heap_/free_/pos_ can never hold more entries than the pool has slots, so
   // growing their capacity in lockstep keeps their push_backs allocation-free.
   // TANGOVET_ALLOW_NEXT(amortized: pooled capacity)
   if (heap_.capacity() < pool_.capacity()) heap_.reserve(pool_.capacity());
   // TANGOVET_ALLOW_NEXT(amortized: pooled capacity)
   if (free_.capacity() < pool_.capacity()) free_.reserve(pool_.capacity());
+  // TANGOVET_ALLOW_NEXT(amortized: pooled capacity)
+  if (pos_.capacity() < pool_.capacity()) pos_.reserve(pool_.capacity());
+  // TANGOVET_ALLOW_NEXT(amortized: pooled capacity)
+  pos_.push_back(-1);
   return static_cast<std::uint32_t>(pool_.size() - 1);
 }
 
 void Simulator::FreeSlot(std::uint32_t slot) {
   Node& n = pool_[slot];
   ++n.generation;  // invalidate every outstanding handle to this slot
-  n.heap_index = -1;
+  pos_[slot] = -1;
   n.firing = false;
   n.cancelled = false;
   n.period = 0;
@@ -38,67 +42,51 @@ void Simulator::FreeSlot(std::uint32_t slot) {
   free_.push_back(slot);
 }
 
-bool Simulator::Before(std::uint32_t a, std::uint32_t b) const {
-  const Node& x = pool_[a];
-  const Node& y = pool_[b];
-  if (x.when != y.when) return x.when < y.when;
-  return x.seq < y.seq;
+bool Simulator::Before(const HeapEntry& a, const HeapEntry& b) {
+  if (a.when != b.when) return a.when < b.when;
+  return a.seq < b.seq;
 }
 
-void Simulator::SiftUp(std::size_t index) {
-  const std::uint32_t slot = heap_[index];
+void Simulator::SiftUp(std::size_t index, HeapEntry e) {
   while (index > 0) {
     const std::size_t parent = (index - 1) / 2;
-    if (!Before(slot, heap_[parent])) break;
-    heap_[index] = heap_[parent];
-    pool_[heap_[index]].heap_index = static_cast<std::int32_t>(index);
+    if (!Before(e, heap_[parent])) break;
+    Place(index, heap_[parent]);
     index = parent;
   }
-  heap_[index] = slot;
-  pool_[slot].heap_index = static_cast<std::int32_t>(index);
+  Place(index, e);
 }
 
-void Simulator::SiftDown(std::size_t index) {
-  const std::uint32_t slot = heap_[index];
+void Simulator::SiftDown(std::size_t index, HeapEntry e) {
   const std::size_t n = heap_.size();
   while (true) {
-    std::size_t best = index;
-    const std::size_t l = 2 * index + 1;
-    const std::size_t r = 2 * index + 2;
-    std::uint32_t best_slot = slot;
-    if (l < n && Before(heap_[l], best_slot)) {
-      best = l;
-      best_slot = heap_[l];
-    }
-    if (r < n && Before(heap_[r], best_slot)) {
-      best = r;
-      best_slot = heap_[r];
-    }
-    if (best == index) break;
-    heap_[index] = heap_[best];
-    pool_[heap_[index]].heap_index = static_cast<std::int32_t>(index);
-    index = best;
+    std::size_t child = 2 * index + 1;
+    if (child >= n) break;
+    if (child + 1 < n && Before(heap_[child + 1], heap_[child])) ++child;
+    if (!Before(heap_[child], e)) break;
+    Place(index, heap_[child]);
+    index = child;
   }
-  heap_[index] = slot;
-  pool_[slot].heap_index = static_cast<std::int32_t>(index);
+  Place(index, e);
 }
 
-void Simulator::HeapPush(std::uint32_t slot) {
+void Simulator::HeapPush(std::uint32_t slot, SimTime when) {
   // TANGOVET_ALLOW_NEXT(amortized: pooled capacity)
-  heap_.push_back(slot);
-  pool_[slot].heap_index = static_cast<std::int32_t>(heap_.size() - 1);
-  SiftUp(heap_.size() - 1);
+  heap_.emplace_back();
+  SiftUp(heap_.size() - 1, HeapEntry{when, next_seq_++, slot});
 }
 
 void Simulator::HeapRemoveAt(std::size_t index) {
-  pool_[heap_[index]].heap_index = -1;
-  const std::uint32_t moved = heap_.back();
+  pos_[heap_[index].slot] = -1;
+  const HeapEntry moved = heap_.back();
   heap_.pop_back();
   if (index == heap_.size()) return;
-  heap_[index] = moved;
-  pool_[moved].heap_index = static_cast<std::int32_t>(index);
-  SiftDown(index);
-  SiftUp(index);
+  // The last entry refills the hole; it belongs either above or below it.
+  if (index > 0 && Before(moved, heap_[(index - 1) / 2])) {
+    SiftUp(index, moved);
+  } else {
+    SiftDown(index, moved);
+  }
 }
 
 EventHandle Simulator::ScheduleAt(SimTime when, Callback cb) {
@@ -107,11 +95,9 @@ EventHandle Simulator::ScheduleAt(SimTime when, Callback cb) {
   if (cb.on_heap()) ++alloc_events_;
   const std::uint32_t slot = AllocSlot();
   Node& n = pool_[slot];
-  n.when = when;
-  n.seq = next_seq_++;
   n.period = 0;
   n.cb = std::move(cb);
-  HeapPush(slot);
+  HeapPush(slot, when);
   if constexpr (audit::kEnabled) AuditHeapThrottled();
   return MakeHandle(slot, n.generation);
 }
@@ -124,11 +110,9 @@ EventHandle Simulator::StartPeriodic(SimTime first, SimDuration period,
   if (cb.on_heap()) ++alloc_events_;
   const std::uint32_t slot = AllocSlot();
   Node& n = pool_[slot];
-  n.when = first;
-  n.seq = next_seq_++;
   n.period = period;
   n.cb = std::move(cb);
-  HeapPush(slot);
+  HeapPush(slot, first);
   if constexpr (audit::kEnabled) AuditHeapThrottled();
   return MakeHandle(slot, n.generation);
 }
@@ -147,18 +131,18 @@ void Simulator::Cancel(EventHandle handle) {
     n.cancelled = true;
     return;
   }
-  if (n.heap_index < 0) return;
-  HeapRemoveAt(static_cast<std::size_t>(n.heap_index));
+  if (pos_[slot] < 0) return;
+  HeapRemoveAt(static_cast<std::size_t>(pos_[slot]));
   FreeSlot(static_cast<std::uint32_t>(slot));
   if constexpr (audit::kEnabled) AuditHeapThrottled();
 }
 
 bool Simulator::PopAndRun() {
   if (heap_.empty()) return false;
-  const std::uint32_t slot = heap_.front();
+  const std::uint32_t slot = heap_.front().slot;
+  now_ = heap_.front().when;
   HeapRemoveAt(0);
   Node& n = pool_[slot];
-  now_ = n.when;
   ++executed_;
   if (n.period > 0) {
     // Periodic: run the tick from a local (the pool may grow while the
@@ -172,9 +156,7 @@ bool Simulator::PopAndRun() {
       FreeSlot(slot);
     } else {
       after.cb = std::move(cb);
-      after.when = now_ + after.period;
-      after.seq = next_seq_++;
-      HeapPush(slot);
+      HeapPush(slot, now_ + after.period);
     }
   } else {
     // One-shot: release the slot before invoking so a callback scheduling
@@ -199,54 +181,50 @@ void Simulator::AuditHeapThrottled() const {
 void Simulator::AuditHeap() const {
   std::size_t firing = 0;
   for (std::size_t slot = 0; slot < pool_.size(); ++slot) {
-    const Node& n = pool_[slot];
-    if (n.firing) ++firing;
-    if (n.heap_index < 0) continue;
-    const auto index = static_cast<std::size_t>(n.heap_index);
-    AUDIT_CHECK(index < heap_.size() && heap_[index] == slot,
+    if (pool_[slot].firing) ++firing;
+    if (pos_[slot] < 0) continue;
+    const auto index = static_cast<std::size_t>(pos_[slot]);
+    AUDIT_CHECK(index < heap_.size() && heap_[index].slot == slot,
                 .subsystem = "sim", .invariant = "sim.heap_index_coherence",
                 .sim_time = now_,
                 .detail = audit::Detail(
                     "slot %zu claims heap index %zu (heap size %zu, entry "
                     "%u)",
                     slot, index, heap_.size(),
-                    index < heap_.size() ? heap_[index] : 0));
+                    index < heap_.size() ? heap_[index].slot : 0));
   }
   for (std::size_t i = 0; i < heap_.size(); ++i) {
-    const std::uint32_t slot = heap_[i];
-    AUDIT_CHECK(slot < pool_.size() &&
-                    pool_[slot].heap_index == static_cast<std::int32_t>(i),
+    const HeapEntry& e = heap_[i];
+    AUDIT_CHECK(e.slot < pool_.size() &&
+                    pos_[e.slot] == static_cast<std::int32_t>(i),
                 .subsystem = "sim", .invariant = "sim.heap_back_index",
                 .sim_time = now_,
                 .detail = audit::Detail("heap[%zu] = slot %u whose back "
                                         "index is %d",
-                                        i, slot,
-                                        slot < pool_.size()
-                                            ? pool_[slot].heap_index
-                                            : -2));
-    AUDIT_CHECK(pool_[slot].when >= now_, .subsystem = "sim",
+                                        i, e.slot,
+                                        e.slot < pool_.size() ? pos_[e.slot]
+                                                              : -2));
+    AUDIT_CHECK(e.when >= now_, .subsystem = "sim",
                 .invariant = "sim.no_past_event", .sim_time = now_,
                 .detail = audit::Detail("heap[%zu] scheduled at %lld, now "
                                         "%lld",
-                                        i,
-                                        static_cast<long long>(
-                                            pool_[slot].when),
+                                        i, static_cast<long long>(e.when),
                                         static_cast<long long>(now_)));
     if (i > 0) {
-      const std::uint32_t parent = heap_[(i - 1) / 2];
-      AUDIT_CHECK(!Before(slot, parent), .subsystem = "sim",
+      const HeapEntry& parent = heap_[(i - 1) / 2];
+      AUDIT_CHECK(!Before(e, parent), .subsystem = "sim",
                   .invariant = "sim.heap_order", .sim_time = now_,
                   .detail = audit::Detail(
                       "heap[%zu] (when %lld seq %llu) precedes its parent "
                       "(when %lld seq %llu)",
-                      i, static_cast<long long>(pool_[slot].when),
-                      static_cast<unsigned long long>(pool_[slot].seq),
-                      static_cast<long long>(pool_[parent].when),
-                      static_cast<unsigned long long>(pool_[parent].seq)));
+                      i, static_cast<long long>(e.when),
+                      static_cast<unsigned long long>(e.seq),
+                      static_cast<long long>(parent.when),
+                      static_cast<unsigned long long>(parent.seq)));
     }
   }
   for (const std::uint32_t slot : free_) {
-    AUDIT_CHECK(slot < pool_.size() && pool_[slot].heap_index == -1 &&
+    AUDIT_CHECK(slot < pool_.size() && pos_[slot] == -1 &&
                     !pool_[slot].firing,
                 .subsystem = "sim", .invariant = "sim.freelist_detached",
                 .sim_time = now_,
@@ -267,7 +245,7 @@ void Simulator::AuditHeap() const {
 
 TANGO_HOT std::uint64_t Simulator::RunUntil(SimTime until) {
   const std::uint64_t before = executed_;
-  while (!heap_.empty() && pool_[heap_.front()].when <= until) {
+  while (!heap_.empty() && heap_.front().when <= until) {
     if (!PopAndRun()) break;
   }
   if (now_ < until) now_ = until;
@@ -283,6 +261,7 @@ void Simulator::ReserveEvents(std::size_t n) {
   pool_.reserve(n);
   heap_.reserve(n);
   free_.reserve(n);
+  pos_.reserve(n);
 }
 
 std::function<void()> SchedulePeriodic(Simulator& sim, SimTime start,

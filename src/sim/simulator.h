@@ -16,6 +16,10 @@
 //   - cancellation is O(log n) via an indexed binary heap — the event is
 //     removed immediately, so no tombstones accumulate and pending_events()
 //     is exact;
+//   - the heap is cache-resident: each entry carries its (when, seq) key
+//     inline next to its pool slot, and the slot -> heap-position
+//     back-index is a dense int32 array, so a sift reads two small
+//     contiguous arrays and never touches the pooled callbacks;
 //   - periodic events are first class: one live pool entry is re-armed in
 //     place every tick instead of re-scheduling a fresh event per firing.
 #pragma once
@@ -196,7 +200,7 @@ class Simulator {
   /// queue is empty. The sharded engine uses this to fast-forward over
   /// epochs in which no shard has anything to run.
   SimTime NextEventTime() const {
-    return heap_.empty() ? kNoEvent : pool_[heap_.front()].when;
+    return heap_.empty() ? kNoEvent : heap_.front().when;
   }
   std::uint64_t executed_events() const { return executed_; }
 
@@ -205,7 +209,7 @@ class Simulator {
   /// scheduling once the pool reached its high-water mark.
   std::int64_t alloc_events() const { return alloc_events_; }
 
-  /// Audit the event engine: heap-index/slot coherence (pool_[heap_[i]]
+  /// Audit the event engine: heap-index/slot coherence (pos_[heap_[i].slot]
   /// points back at i), the (when, seq) heap order, no queued event in the
   /// past, freelist slots detached from the heap, and every pool slot
   /// accounted for as exactly one of queued / free / firing. Mutation sites
@@ -226,14 +230,18 @@ class Simulator {
 
  private:
   struct Node {
-    SimTime when = 0;
-    std::uint64_t seq = 0;       // tie-break so equal-time events run FIFO
-    SimDuration period = 0;      // 0 = one-shot
+    SimDuration period = 0;  // 0 = one-shot
     std::uint32_t generation = 0;
-    std::int32_t heap_index = -1;  // -1 = not queued (free or firing)
-    bool firing = false;           // periodic currently executing its tick
-    bool cancelled = false;        // cancelled while firing: do not re-arm
+    bool firing = false;     // periodic currently executing its tick
+    bool cancelled = false;  // cancelled while firing: do not re-arm
     Callback cb;
+  };
+  /// One queued event. The ordering key lives here rather than in the pool
+  /// Node so heap comparisons stay inside heap_.
+  struct HeapEntry {
+    SimTime when = 0;
+    std::uint64_t seq = 0;  // tie-break so equal-time events run FIFO
+    std::uint32_t slot = 0;
   };
 
   static EventHandle MakeHandle(std::uint32_t slot, std::uint32_t gen) {
@@ -243,11 +251,16 @@ class Simulator {
 
   std::uint32_t AllocSlot();
   void FreeSlot(std::uint32_t slot);
-  bool Before(std::uint32_t a, std::uint32_t b) const;
-  void HeapPush(std::uint32_t slot);
+  static bool Before(const HeapEntry& a, const HeapEntry& b);
+  void HeapPush(std::uint32_t slot, SimTime when);
   void HeapRemoveAt(std::size_t index);
-  void SiftUp(std::size_t index);
-  void SiftDown(std::size_t index);
+  /// Sift `e` from the hole at `index` toward the root / the leaves.
+  void SiftUp(std::size_t index, HeapEntry e);
+  void SiftDown(std::size_t index, HeapEntry e);
+  void Place(std::size_t index, const HeapEntry& e) {
+    heap_[index] = e;
+    pos_[e.slot] = static_cast<std::int32_t>(index);
+  }
   bool PopAndRun();
   /// The throttled sweep mutation sites call (see AuditHeap).
   void AuditHeapThrottled() const;
@@ -259,7 +272,9 @@ class Simulator {
   std::int64_t alloc_events_ = 0;
   std::vector<Node> pool_;
   std::vector<std::uint32_t> free_;  // recycled pool slots
-  std::vector<std::uint32_t> heap_;  // slot indices, min-(when, seq) heap
+  std::vector<HeapEntry> heap_;      // min-(when, seq) heap
+  /// pos_[slot] = slot's index in heap_, -1 when not queued (free or firing).
+  std::vector<std::int32_t> pos_;
 };
 
 /// Convenience: schedule a callback every `period` starting at `start`.

@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "audit/audit.h"
 #include "audit/checkers.h"
 #include "cgroup/cgroup.h"
 #include "flow/mcmf.h"
+#include "sched/cluster_policy.h"
 #include "sim/simulator.h"
 
 namespace tango {
@@ -36,6 +39,11 @@ TEST(AuditDisabled, CheckersAreInert) {
   order.BeginKind("cpu.cfs_quota_us", 100, 50);  // shrink
   order.OnWrite(Level::kPod, false);             // wrong order AND rejected
   order.OnWrite(Level::kContainer, false);
+  std::vector<sched::WorkerView> workers(2);
+  const std::vector<Millicores> be(workers.size(), 0);
+  const sched::WorkerIndex index(workers, be);
+  workers[0].used = 5;  // stale index
+  index.Audit(workers, be, 0);
   EXPECT_EQ(audit::checks_run(), 0);
 }
 
@@ -256,6 +264,48 @@ TEST(AuditCore, SimulatorSelfAuditsMutations) {
     sim.ScheduleAt(i, [] {});
   }
   sim.RunAll();
+  EXPECT_GT(audit::checks_run(), before);
+}
+
+// --- sharded engine worker index -----------------------------------------
+
+TEST(AuditDeathTest, WorkerIndexMissedMutation) {
+  std::vector<sched::WorkerView> workers(6);
+  for (auto& w : workers) w.capacity = 4000;
+  const std::vector<Millicores> be(workers.size(), 0);
+  const sched::WorkerIndex index(workers, be);
+  workers[3].used = 1500;  // an exec start that bypassed the index
+  EXPECT_DEATH(index.Audit(workers, be, 0),
+               "AUDIT VIOLATION.*sched\\.worker_index_tree");
+}
+
+TEST(AuditDeathTest, WorkerIndexLiveCountDrift) {
+  std::vector<sched::WorkerView> workers(6);
+  for (auto& w : workers) w.capacity = 4000;
+  const std::vector<Millicores> be(workers.size(), 0);
+  sched::WorkerIndex index(workers, be);
+  sched::WorkerView drained = workers[2];
+  drained.draining = true;
+  index.Update(2, workers[2], 0, drained, 0);
+  workers[2] = drained;
+  // A crash of a draining worker that bypassed the index: its tree leaf
+  // stays unusable, so only the live-worker sum can catch it.
+  workers[2].alive = false;
+  EXPECT_DEATH(index.Audit(workers, be, 0),
+               "AUDIT VIOLATION.*sched\\.worker_index_sums");
+}
+
+TEST(AuditCore, WorkerIndexAuditPassesWhenInStep) {
+  std::vector<sched::WorkerView> workers(5);
+  for (auto& w : workers) w.capacity = 2000;
+  const std::vector<Millicores> be(workers.size(), 0);
+  sched::WorkerIndex index(workers, be);
+  sched::WorkerView busy = workers[1];
+  busy.used = 700;
+  index.Update(1, workers[1], 0, busy, 0);
+  workers[1] = busy;
+  const std::int64_t before = audit::checks_run();
+  index.Audit(workers, be, 0);
   EXPECT_GT(audit::checks_run(), before);
 }
 

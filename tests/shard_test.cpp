@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_script.h"
@@ -224,6 +225,30 @@ TEST(ShardEngine, ByteIdenticalAcrossShardCountsAndSeeds) {
   }
 }
 
+TEST(ShardEngine, DigestsPinnedAcrossEngineChanges) {
+  // The runs above compare shard counts with each other; these pins
+  // compare the engine with its own history, so a change to the event heap
+  // or the worker index that reorders anything fails here. The chaos
+  // scripts crash and recover workers and fail masters; chaos never
+  // drains, so one scripted run drains and undrains every third worker.
+  const std::pair<std::uint64_t, std::uint64_t> pins[] = {
+      {1, 0x7e284cf9f9d386c1ull},
+      {42, 0x5ccb443549e90afcull},
+      {777, 0xf4e9970dbc981622ull}};
+  for (const auto& [seed, digest] : pins) {
+    EngineConfig cfg = BaseConfig(seed);
+    cfg.faults = Chaos(seed ^ 0xF00D, cfg.clusters);
+    EXPECT_EQ(RunOnce(cfg).digest, digest) << "seed=" << seed;
+  }
+  EngineConfig drained = BaseConfig(1);
+  const std::vector<NodeId> workers = fault::WorkerIds(drained.clusters);
+  for (std::size_t i = 0; i < workers.size(); i += 3) {
+    drained.faults.DrainNode(300 * kMillisecond, workers[i]);
+    drained.faults.UndrainNode(1200 * kMillisecond, workers[i]);
+  }
+  EXPECT_EQ(RunOnce(drained).digest, 0xd6745307a7af1701ull);
+}
+
 TEST(ShardEngine, DeterministicReferenceMatchesParallel) {
   EngineConfig base = BaseConfig(5);
   base.faults = Chaos(99, base.clusters);
@@ -330,6 +355,29 @@ TEST(ShardEngine, MailboxConservationAndProgress) {
   EXPECT_GT(r.totals.lc_completed, 0);
   EXPECT_GT(r.totals.be_completed, 0);
   EXPECT_GT(r.qos_rate(), 0.5);
+}
+
+TEST(ShardEngine, ParallelDrainCountMatchesReference) {
+  // Every shard task drains its inboxes at the start of each epoch, in
+  // parallel. A drained count shared by the tasks loses increments under
+  // this much cross-shard traffic (about 2% of 70k messages per run on a
+  // 4-core host), so the parallel count must match the one-thread
+  // reference exactly.
+  EngineConfig base = BaseConfig(11, 64);
+  for (auto& c : base.clusters) c.num_workers = 16;
+  base.model.lc_rps = 1000.0;
+  base.model.be_rps = 100.0;
+  base.num_shards = 4;
+  base.num_threads = 4;
+  EngineConfig ref = base;
+  ref.deterministic_reference = true;
+  const RunResult want = ShardEngine(ref).Run();
+  ASSERT_GT(want.mailbox_exchanged, 50000);
+  for (int run = 0; run < 2; ++run) {
+    const RunResult got = ShardEngine(base).Run();
+    EXPECT_EQ(got.mailbox_exchanged, want.mailbox_exchanged);
+    EXPECT_EQ(got.mailbox_drained, want.mailbox_drained) << "run " << run;
+  }
 }
 
 TEST(ShardEngine, SingleClusterRunsWithoutCrossTraffic) {

@@ -1,8 +1,13 @@
 // Unit tests for the discrete-event simulation engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/simulator.h"
 
 namespace tango::sim {
@@ -429,6 +434,174 @@ TEST(Simulator, ReserveEventsPrewarmsPool) {
   }
   EXPECT_EQ(sim.alloc_events(), after_reserve);
   sim.RunAll();
+}
+
+// Seeded randomized differential test: the engine against a std::map model
+// keyed on (when, seq), the total order the engine promises. Random
+// ScheduleAt / ScheduleAfter / StartPeriodic calls, Cancel on live, fired,
+// cancelled, slot-reused and garbage handles, RunUntil and Step; callbacks
+// schedule children, cancel other events and stop their own periodic.
+// Every firing must be the model's head, and pending_events() and
+// NextEventTime() must match the model after every operation.
+class HeapModel {
+ public:
+  explicit HeapModel(std::uint64_t seed) : rng_(seed) {}
+
+  void Run(int ops) {
+    for (int op = 0; op < ops; ++op) {
+      const SimTime now = sim_.Now();
+      switch (rng_.UniformInt(0, 9)) {
+        case 0:
+        case 1:
+          Add(now + rng_.UniformInt(0, 60), 0, /*relative=*/false);
+          break;
+        case 2:
+          Add(now + rng_.UniformInt(-10, 60), 0, /*relative=*/true);
+          break;
+        case 3:
+          if (live_periodics_ < 6) {
+            Add(now + rng_.UniformInt(0, 30), rng_.UniformInt(1, 25), false);
+          }
+          break;
+        case 4:
+        case 5:
+          CancelRandom();
+          break;
+        case 6:
+          sim_.Cancel(kInvalidEvent);
+          sim_.Cancel((EventHandle{3} << 32) | 0xFFFFFFF0u);  // no such slot
+          break;
+        case 7:
+        case 8: {
+          const SimTime until = now + rng_.UniformInt(0, 40);
+          const std::uint64_t before = fired_;
+          const std::uint64_t ran = sim_.RunUntil(until);
+          EXPECT_EQ(ran, fired_ - before);
+          EXPECT_EQ(sim_.Now(), until);
+          EXPECT_TRUE(model_.empty() || model_.begin()->first.first > until);
+          break;
+        }
+        default: {
+          const bool had = !model_.empty();
+          const std::uint64_t before = fired_;
+          const bool stepped = sim_.Step();
+          EXPECT_EQ(stepped, had);
+          EXPECT_EQ(fired_ - before, had ? 1u : 0u);
+          break;
+        }
+      }
+      CheckQueue();
+      if (::testing::Test::HasFailure()) return;
+    }
+    // Drain: stop every periodic, then everything left must fire in order.
+    for (std::size_t id = 0; id < events_.size(); ++id) {
+      if (events_[id].period > 0) Cancel(id);
+    }
+    sim_.RunAll();
+    EXPECT_TRUE(model_.empty());
+    CheckQueue();
+    EXPECT_EQ(sim_.executed_events(), fired_);
+  }
+
+ private:
+  using Key = std::pair<SimTime, std::uint64_t>;  // (when, seq)
+  struct Event {
+    EventHandle handle = kInvalidEvent;
+    SimDuration period = 0;
+    Key key;
+    bool queued = false;
+  };
+
+  void Add(SimTime when, SimDuration period, bool relative) {
+    const std::size_t id = events_.size();
+    Event ev;
+    ev.period = period;
+    ev.key = {relative ? std::max(when, sim_.Now()) : when, next_seq_++};
+    ev.queued = true;
+    events_.push_back(ev);
+    model_[ev.key] = id;
+    auto cb = [this, id] { Fire(id); };
+    if (period > 0) {
+      ++live_periodics_;
+      events_[id].handle = sim_.StartPeriodic(when, period, cb);
+    } else if (relative) {
+      events_[id].handle = sim_.ScheduleAfter(when - sim_.Now(), cb);
+    } else {
+      events_[id].handle = sim_.ScheduleAt(when, cb);
+    }
+  }
+
+  void Cancel(std::size_t id) {
+    Event& ev = events_[id];
+    sim_.Cancel(ev.handle);
+    if (id == firing_) stop_firing_ = true;
+    if (!ev.queued) return;  // fired, cancelled, or mid-tick: a no-op
+    model_.erase(ev.key);
+    ev.queued = false;
+    if (ev.period > 0) --live_periodics_;
+  }
+
+  void CancelRandom() {
+    if (events_.empty()) return;
+    Cancel(static_cast<std::size_t>(rng_.UniformInt(
+        0, static_cast<std::int64_t>(events_.size()) - 1)));
+  }
+
+  void Fire(std::size_t id) {
+    ASSERT_FALSE(model_.empty());
+    const auto head = model_.begin();
+    EXPECT_EQ(head->second, id);
+    EXPECT_EQ(head->first.first, sim_.Now());
+    Event& ev = events_[id];
+    model_.erase(ev.key);
+    ev.queued = false;
+    ++fired_;
+    firing_ = id;
+    stop_firing_ = false;
+    if (events_.size() < 4000 && rng_.Bernoulli(0.3)) {
+      Add(sim_.Now() + rng_.UniformInt(0, 30), 0, /*relative=*/false);
+    }
+    if (rng_.Bernoulli(0.1)) CancelRandom();
+    const SimDuration period = events_[id].period;
+    if (period > 0 && !stop_firing_ && rng_.Bernoulli(0.1)) Cancel(id);
+    firing_ = kNone;
+    if (period == 0) return;
+    if (stop_firing_) {
+      --live_periodics_;
+      return;
+    }
+    // The engine re-arms after the callback returns, taking the next seq.
+    Event& again = events_[id];
+    again.key = {sim_.Now() + period, next_seq_++};
+    again.queued = true;
+    model_[again.key] = id;
+  }
+
+  void CheckQueue() {
+    EXPECT_EQ(sim_.pending_events(), model_.size());
+    EXPECT_EQ(sim_.NextEventTime(), model_.empty()
+                                        ? Simulator::kNoEvent
+                                        : model_.begin()->first.first);
+  }
+
+  static constexpr std::size_t kNone = SIZE_MAX;
+  Simulator sim_;
+  Rng rng_;
+  std::vector<Event> events_;
+  std::map<Key, std::size_t> model_;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t fired_ = 0;
+  int live_periodics_ = 0;
+  std::size_t firing_ = kNone;
+  bool stop_firing_ = false;
+};
+
+TEST(Simulator, RandomizedDifferentialAgainstOrderedModel) {
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull, 42ull, 9001ull}) {
+    SCOPED_TRACE(seed);
+    HeapModel model(seed);
+    model.Run(5000);
+  }
 }
 
 }  // namespace

@@ -418,7 +418,9 @@ TEST(StormScenarios, FailoverBundleFailsTheScenarioRegion) {
   for (const auto& ev : events) {
     const bool master = ev.kind == fault::FaultKind::kMasterFail ||
                         ev.kind == fault::FaultKind::kMasterRecover;
-    if (master) EXPECT_EQ(ev.cluster_a, ClusterId{2});
+    if (master) {
+      EXPECT_EQ(ev.cluster_a, ClusterId{2});
+    }
   }
 }
 
@@ -439,7 +441,9 @@ TEST(StormAlibaba, SyntheticCsvParsesSortedAndBounded) {
   EXPECT_EQ(trace->size(), 400u);  // Waiting rows skipped, Terminated kept
   for (std::size_t i = 0; i < trace->size(); ++i) {
     EXPECT_EQ((*trace)[i].id.value, static_cast<std::int32_t>(i));
-    if (i > 0) EXPECT_GE((*trace)[i].arrival, (*trace)[i - 1].arrival);
+    if (i > 0) {
+      EXPECT_GE((*trace)[i].arrival, (*trace)[i - 1].arrival);
+    }
     EXPECT_GE((*trace)[i].origin.value, 0);
     EXPECT_LT((*trace)[i].origin.value, 4);
     EXPECT_GE((*trace)[i].work_scale, 0.6);

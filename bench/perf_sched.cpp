@@ -6,15 +6,21 @@
 // that steady-state rounds perform zero MCMF graph allocations, compares
 // TangoSolve warm-start incremental solving against full cold rebuilds,
 // then times a short end-to-end simulation and concurrent benchmark
-// repetitions. Emits BENCH_sched.json (cwd) so later PRs can diff
-// scheduling throughput against this baseline. The ≥2× parallel speedup
-// expectation only applies on hosts with ≥4 cores; the JSON records the
-// core count either way.
+// repetitions. A DCG-BE row times the A2C learner's Act() and its update
+// on paper_dual's shape (104 cluster pseudo-nodes in a ring, so GraphSAGE
+// never samples) and on a node-level LAN mesh that samples, next to how
+// many rollout steps the update trained on their act-time forward (hits)
+// or had to re-run (misses). Emits BENCH_sched.json (cwd) so later PRs can
+// diff scheduling throughput against this baseline. The ≥2× parallel
+// speedup expectation only applies on hosts with ≥4 cores; the JSON
+// records the core count either way.
 //
 // Flags: --smoke            small configs + invariant checks only, exit 1 on
-//                           failure, no BENCH write (CI gate)
+//                           failure (including any DCG-BE miss on the
+//                           ring), no BENCH write (CI gate)
 //        --nodes N          single custom config of ~N workers (16/cluster)
 //        --queue Q          requests per round for the custom config
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -22,7 +28,10 @@
 #include <thread>
 
 #include "bench_common.h"
+#include "common/stats.h"
+#include "rl/agent.h"
 #include "sched/dss_lc.h"
+#include "sched/learned_be.h"
 
 using namespace tango;
 
@@ -279,11 +288,79 @@ RepsComparison CompareRepetitions() {
   return reps;
 }
 
+/// DCG-BE's learner on one graph shape: Act() latency and update latency
+/// (the Observe that closes a rollout of n̂ = 16), with the update's reuse
+/// counters.
+struct DcgBeRow {
+  const char* label = "";
+  int nodes = 0;
+  int decisions = 0;
+  int updates = 0;
+  double act_us_p50 = 0.0;
+  double act_us_p95 = 0.0;
+  double update_ms_p50 = 0.0;
+  double update_ms_max = 0.0;
+  std::int64_t reuse_hits = 0;
+  std::int64_t reuse_misses = 0;
+};
+
+DcgBeRow TimeDcgBe(const char* label, int clusters, int workers_per_cluster,
+                   sched::BeGranularity granularity, int decisions) {
+  const auto catalog = workload::ServiceCatalog::Standard();
+  sched::LearnedBeConfig cfg;
+  cfg.granularity = granularity;
+  auto be = sched::MakeDcgBe(&catalog, gnn::EncoderKind::kGraphSage,
+                             /*seed=*/7, cfg);
+  auto& agent = dynamic_cast<rl::A2cAgent&>(be->agent());
+  StateStorage st = MakeStorage(clusters, workers_per_cluster, 91);
+  std::vector<NodeSnapshot> nodes = st.All();
+  PendingRequest req;
+  req.request.service = ServiceId{9};  // be-backup
+  Rng load(17);
+  std::vector<double> act_us;
+  std::vector<double> update_ms;
+  rl::GraphState state = be->BuildState(req, st);
+  DcgBeRow row;
+  row.label = label;
+  row.nodes = state.graph.num_nodes();
+  row.decisions = decisions;
+  for (int d = 0; d < decisions; ++d) {
+    double t0 = Now();
+    const int action = agent.Act(state);
+    act_us.push_back((Now() - t0) * 1e6);
+    // Load moves between decisions, so every state differs.
+    for (int k = 0; k < 4; ++k) {
+      auto& w = nodes[static_cast<std::size_t>(
+          load.UniformInt(0, static_cast<std::int64_t>(nodes.size()) - 1))];
+      w.cpu_available = load.UniformInt(500, 8000);
+      w.queued = static_cast<int>(load.UniformInt(0, 16));
+      st.Update(w);
+    }
+    rl::GraphState next = be->BuildState(req, st);
+    const auto steps = agent.train_steps();
+    t0 = Now();
+    agent.Observe(state.graph.features.at(action, 0), next, false);
+    if (agent.train_steps() != steps) update_ms.push_back((Now() - t0) * 1e3);
+    state = std::move(next);
+  }
+  row.updates = static_cast<int>(update_ms.size());
+  row.act_us_p50 = Percentile(act_us, 0.50);
+  row.act_us_p95 = Percentile(act_us, 0.95);
+  if (!update_ms.empty()) {
+    row.update_ms_p50 = Percentile(update_ms, 0.50);
+    row.update_ms_max = *std::max_element(update_ms.begin(), update_ms.end());
+  }
+  row.reuse_hits = agent.reuse_hits();
+  row.reuse_misses = agent.reuse_misses();
+  return row;
+}
+
 void WriteJson(const char* path, int cores,
                const std::vector<SchedComparison>& sched,
                const WarmVsCold& wc, const E2eComparison& e2e,
                const RepsComparison& reps,
-               const std::vector<scope::MetricRow>& phases) {
+               const std::vector<scope::MetricRow>& phases,
+               const std::vector<DcgBeRow>& dcgbe) {
   std::ofstream out(path);
   out << "{\n  \"bench\": \"perf_sched\",\n  "
       << bench::ProvenanceJson(cores) << ",\n  \"sched\": {\n";
@@ -344,6 +421,18 @@ void WriteJson(const char* path, int cores,
         << ", \"mean\": " << p.value << ", \"p50\": " << p.p50
         << ", \"p95\": " << p.p95 << ", \"p99\": " << p.p99 << "}"
         << (i + 1 < phases.size() ? "," : "") << "\n";
+  }
+  out << "  },\n  \"dcgbe\": {\n";
+  for (std::size_t i = 0; i < dcgbe.size(); ++i) {
+    const auto& r = dcgbe[i];
+    out << "    \"" << r.label << "\": {\"nodes\": " << r.nodes
+        << ", \"decisions\": " << r.decisions << ", \"updates\": "
+        << r.updates << ", \"act_us_p50\": " << r.act_us_p50
+        << ", \"act_us_p95\": " << r.act_us_p95 << ", \"update_ms_p50\": "
+        << r.update_ms_p50 << ", \"update_ms_max\": " << r.update_ms_max
+        << ", \"reuse_hits\": " << r.reuse_hits << ", \"reuse_misses\": "
+        << r.reuse_misses << "}" << (i + 1 < dcgbe.size() ? "," : "")
+        << "\n";
   }
   out << "  }\n}\n";
 }
@@ -456,6 +545,29 @@ int main(int argc, char** argv) {
                      phase_rows);
   }
 
+  // DCG-BE: paper_dual's 104-cluster ring (kCluster) and a node-level LAN
+  // mesh whose degrees exceed GraphSAGE's p = 3.
+  const int dcgbe_decisions = smoke ? 48 : 320;
+  const std::vector<DcgBeRow> dcgbe = {
+      TimeDcgBe("ring104", 104, 10, sched::BeGranularity::kCluster,
+                dcgbe_decisions),
+      TimeDcgBe("mesh128", 8, 16, sched::BeGranularity::kNode,
+                dcgbe_decisions)};
+  std::vector<std::vector<std::string>> dcgbe_rows;
+  for (const auto& r : dcgbe) {
+    dcgbe_rows.push_back(
+        {r.label, std::to_string(r.nodes), std::to_string(r.decisions),
+         eval::Fmt(r.act_us_p50, 0), eval::Fmt(r.act_us_p95, 0),
+         std::to_string(r.updates), eval::Fmt(r.update_ms_p50, 2),
+         eval::Fmt(r.update_ms_max, 2),
+         std::to_string(r.reuse_hits) + "/" + std::to_string(r.reuse_misses)});
+  }
+  eval::PrintTable("DCG-BE learner (GraphSAGE A2C, n^ = 16)",
+                   {"shape", "nodes", "decisions", "act p50 us", "act p95 us",
+                    "updates", "update p50 ms", "update max ms",
+                    "reuse hit/miss"},
+                   dcgbe_rows);
+
   E2eComparison e2e;
   RepsComparison reps;
   if (!smoke) {
@@ -497,6 +609,25 @@ int main(int argc, char** argv) {
                         std::to_string(wc.warm.stats.warm_solves),
                     warm_used);
   ok = ok && wc.identical && warm_used;
+  for (const auto& r : dcgbe) {
+    // Every trained step is either reused or re-run.
+    const bool accounted =
+        r.reuse_hits + r.reuse_misses == 16LL * r.updates && r.updates > 0;
+    bench::PaperCheck((std::string("DCG-BE update steps accounted (") +
+                       r.label + ")")
+                          .c_str(),
+                      "hits + misses = 16 x updates",
+                      std::to_string(r.reuse_hits + r.reuse_misses) + " of " +
+                          std::to_string(16 * r.updates),
+                      accounted);
+    ok = ok && accounted;
+  }
+  const bool ring_reused = dcgbe[0].reuse_misses == 0;
+  bench::PaperCheck("DCG-BE ring reuses every act-time forward",
+                    "0 misses (degree 2 <= p = 3)",
+                    std::to_string(dcgbe[0].reuse_misses) + " misses",
+                    ring_reused);
+  ok = ok && ring_reused;
   const auto& large = sched.back();
   if (smoke) {
     // Throughput targets are meaningless at smoke scale; only the
@@ -511,12 +642,13 @@ int main(int argc, char** argv) {
   }
 
   if (!smoke && bench::ShouldWriteBench("BENCH_sched.json", cores)) {
-    WriteJson("BENCH_sched.json", cores, sched, wc, e2e, reps, phases);
+    WriteJson("BENCH_sched.json", cores, sched, wc, e2e, reps, phases,
+              dcgbe);
     std::printf("\nwrote BENCH_sched.json\n");
   }
   if (!ok) {
-    std::printf("\nFAILED: identity, allocation or warm-path invariant "
-                "violated\n");
+    std::printf("\nFAILED: identity, allocation, warm-path or DCG-BE reuse "
+                "invariant violated\n");
     return 1;
   }
   return 0;

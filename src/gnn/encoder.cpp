@@ -12,33 +12,25 @@ using nn::Var;
 
 namespace {
 
-/// Row-normalized mean over sampled neighborhoods (self excluded; rows of
-/// isolated nodes are zero). The layer concatenates this neighbor mean with
-/// the node's own vector, per GraphSAGE's Algorithm 1 (Hamilton et al.) —
-/// including self in the mean instead would make embeddings collapse on
-/// dense subgraphs (e.g. a cluster's full LAN mesh), leaving the policy
-/// unable to tell same-cluster workers apart.
-Matrix SampledMeanMatrix(const GraphBatch& g, int sample_p, Rng& rng) {
-  const int n = g.num_nodes();
+/// Row-normalized mean over one layer's sampled neighbourhoods (self
+/// excluded; rows of isolated nodes are zero). The layer concatenates this
+/// neighbor mean with the node's own vector, per GraphSAGE's Algorithm 1
+/// (Hamilton et al.) — including self in the mean instead would make
+/// embeddings collapse on dense subgraphs (e.g. a cluster's full LAN mesh),
+/// leaving the policy unable to tell same-cluster workers apart.
+Matrix SampledMeanMatrix(const NeighbourSample& sample, std::size_t layer,
+                         int n) {
   Matrix agg(n, n);
+  const int* off = sample.offsets.data() +
+                   layer * (static_cast<std::size_t>(n) + 1);
   for (int i = 0; i < n; ++i) {
-    const auto& nbrs = g.adj[static_cast<std::size_t>(i)];
-    std::vector<int> chosen;
-    if (static_cast<int>(nbrs.size()) <= sample_p) {
-      chosen.assign(nbrs.begin(), nbrs.end());
-    } else {
-      // Sample p without replacement (partial Fisher-Yates on a copy).
-      std::vector<int> pool(nbrs);
-      for (int k = 0; k < sample_p; ++k) {
-        const auto j = static_cast<std::size_t>(
-            rng.UniformInt(k, static_cast<std::int64_t>(pool.size()) - 1));
-        std::swap(pool[static_cast<std::size_t>(k)], pool[j]);
-        chosen.push_back(pool[static_cast<std::size_t>(k)]);
-      }
+    const int begin = off[i];
+    const int end = off[i + 1];
+    if (begin == end) continue;
+    const float w = 1.0f / static_cast<float>(end - begin);
+    for (int t = begin; t < end; ++t) {
+      agg.at(i, sample.nbrs[static_cast<std::size_t>(t)]) = w;
     }
-    if (chosen.empty()) continue;
-    const float w = 1.0f / static_cast<float>(chosen.size());
-    for (int j : chosen) agg.at(i, j) = w;
   }
   return agg;
 }
@@ -77,34 +69,11 @@ Matrix AdjacencyMask(const GraphBatch& g) {
   return m;
 }
 
-/// Horizontal concat [a | b] on raw matrices — the value half of the taped
-/// nn::ConcatCols.
-Matrix ConcatColsMatrix(const Matrix& a, const Matrix& b) {
-  Matrix out(a.rows(), a.cols() + b.cols());
-  for (int r = 0; r < a.rows(); ++r) {
-    for (int c = 0; c < a.cols(); ++c) out.at(r, c) = a.at(r, c);
-    for (int c = 0; c < b.cols(); ++c) out.at(r, a.cols() + c) = b.at(r, c);
-  }
-  return out;
-}
-
-/// Re-pack `layers` when `version` moved past what `packed` was built at.
-void RepackLayers(const std::vector<nn::Linear>& layers,
-                  std::vector<nn::PackedLinear>* packed,
-                  std::uint64_t* packed_version, std::uint64_t version) {
-  if (*packed_version == version && !packed->empty()) return;
-  packed->clear();
-  packed->reserve(layers.size());
-  for (const auto& l : layers) packed->emplace_back(l.weight(), l.bias());
-  *packed_version = version;
-}
-
 }  // namespace
 
-bool Encoder::EncodeInference(const GraphBatch& /*g*/, Rng& /*rng*/,
-                              std::uint64_t /*param_version*/,
-                              nn::Matrix* /*out*/) {
-  return false;
+NeighbourSample Encoder::Sample(const GraphBatch& /*g*/,
+                                Rng& /*rng*/) const {
+  return {};
 }
 
 GraphSage::GraphSage(nn::ParamStore& store, const std::string& name,
@@ -121,33 +90,50 @@ GraphSage::GraphSage(nn::ParamStore& store, const std::string& name,
   }
 }
 
-Var GraphSage::Encode(const GraphBatch& g, Rng& rng) {
-  Var h = nn::Constant(g.features);
-  for (const auto& layer : layers_) {
-    const Var agg = nn::Constant(SampledMeanMatrix(g, sample_p_, rng));
-    const Var neigh = nn::MatMul(agg, h);
-    h = nn::Relu(layer.Forward(nn::ConcatCols(h, neigh)));
+NeighbourSample GraphSage::Sample(const GraphBatch& g, Rng& rng) const {
+  const int n = g.num_nodes();
+  NeighbourSample s;
+  s.offsets.reserve(layers_.size() * (static_cast<std::size_t>(n) + 1));
+  std::vector<int> pool;
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    for (int i = 0; i < n; ++i) {
+      s.offsets.push_back(static_cast<int>(s.nbrs.size()));
+      const auto& nbrs = g.adj[static_cast<std::size_t>(i)];
+      const auto begin = static_cast<std::ptrdiff_t>(s.nbrs.size());
+      if (static_cast<int>(nbrs.size()) <= sample_p_) {
+        s.nbrs.insert(s.nbrs.end(), nbrs.begin(), nbrs.end());
+      } else {
+        // Sample p without replacement (partial Fisher-Yates on a copy).
+        pool.assign(nbrs.begin(), nbrs.end());
+        for (int k = 0; k < sample_p_; ++k) {
+          const auto j = static_cast<std::size_t>(
+              rng.UniformInt(k, static_cast<std::int64_t>(pool.size()) - 1));
+          std::swap(pool[static_cast<std::size_t>(k)], pool[j]);
+          s.nbrs.push_back(pool[static_cast<std::size_t>(k)]);
+        }
+      }
+      // The mean does not depend on draw order; sorting makes equal
+      // neighbourhoods compare equal.
+      std::sort(s.nbrs.begin() + begin, s.nbrs.end());
+    }
+    s.offsets.push_back(static_cast<int>(s.nbrs.size()));
   }
-  return h;
+  return s;
 }
 
-bool GraphSage::EncodeInference(const GraphBatch& g, Rng& rng,
-                                std::uint64_t param_version,
-                                nn::Matrix* out) {
-  RepackLayers(layers_, &packed_, &packed_version_, param_version);
-  Matrix h = g.features;
-  Matrix next;
-  for (std::size_t l = 0; l < packed_.size(); ++l) {
-    // Same sampling call as Encode(): the RNG stream stays in lock-step.
-    const Matrix agg = SampledMeanMatrix(g, sample_p_, rng);
-    const Matrix neigh = agg.MatMul(h);
-    packed_[l].Forward(ConcatColsMatrix(h, neigh), &next);
-    nn::ReluInPlace(&next);
-    h = std::move(next);
-    next = Matrix();
+Var GraphSage::Forward(const GraphBatch& g,
+                       const NeighbourSample& sample) const {
+  const int n = g.num_nodes();
+  TANGO_CHECK(sample.offsets.size() ==
+                  layers_.size() * (static_cast<std::size_t>(n) + 1),
+              "neighbour sample does not fit a %d-node graph", n);
+  Var h = nn::Constant(g.features);
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    const Var agg = nn::Constant(SampledMeanMatrix(sample, l, n));
+    const Var neigh = nn::MatMul(agg, h);
+    h = nn::Relu(layers_[l].Forward(nn::ConcatCols(h, neigh)));
   }
-  *out = std::move(h);
-  return true;
+  return h;
 }
 
 Gcn::Gcn(nn::ParamStore& store, const std::string& name, int in_dim,
@@ -162,29 +148,14 @@ Gcn::Gcn(nn::ParamStore& store, const std::string& name, int in_dim,
   }
 }
 
-Var Gcn::Encode(const GraphBatch& g, Rng& /*rng*/) {
+Var Gcn::Forward(const GraphBatch& g,
+                 const NeighbourSample& /*sample*/) const {
   const Var norm = nn::Constant(GcnNormMatrix(g));
   Var h = nn::Constant(g.features);
   for (const auto& layer : layers_) {
     h = nn::Relu(layer.Forward(nn::MatMul(norm, h)));
   }
   return h;
-}
-
-bool Gcn::EncodeInference(const GraphBatch& g, Rng& /*rng*/,
-                          std::uint64_t param_version, nn::Matrix* out) {
-  RepackLayers(layers_, &packed_, &packed_version_, param_version);
-  const Matrix norm = GcnNormMatrix(g);
-  Matrix h = g.features;
-  Matrix next;
-  for (std::size_t l = 0; l < packed_.size(); ++l) {
-    packed_[l].Forward(norm.MatMul(h), &next);
-    nn::ReluInPlace(&next);
-    h = std::move(next);
-    next = Matrix();
-  }
-  *out = std::move(h);
-  return true;
 }
 
 Gat::Gat(nn::ParamStore& store, const std::string& name, int in_dim,
@@ -202,7 +173,8 @@ Gat::Gat(nn::ParamStore& store, const std::string& name, int in_dim,
   }
 }
 
-Var Gat::Encode(const GraphBatch& g, Rng& /*rng*/) {
+Var Gat::Forward(const GraphBatch& g,
+                 const NeighbourSample& /*sample*/) const {
   const int n = g.num_nodes();
   const Matrix mask = AdjacencyMask(g);
 
@@ -248,20 +220,9 @@ NativeEncoder::NativeEncoder(nn::ParamStore& store, const std::string& name,
     : proj_(store, name + ".native", in_dim, hidden_dim, rng),
       hidden_(hidden_dim) {}
 
-Var NativeEncoder::Encode(const GraphBatch& g, Rng& /*rng*/) {
+Var NativeEncoder::Forward(const GraphBatch& g,
+                           const NeighbourSample& /*sample*/) const {
   return nn::Relu(proj_.Forward(nn::Constant(g.features)));
-}
-
-bool NativeEncoder::EncodeInference(const GraphBatch& g, Rng& /*rng*/,
-                                    std::uint64_t param_version,
-                                    nn::Matrix* out) {
-  if (packed_version_ != param_version) {
-    packed_ = nn::PackedLinear(proj_.weight(), proj_.bias());
-    packed_version_ = param_version;
-  }
-  packed_.Forward(g.features, out);
-  nn::ReluInPlace(out);
-  return true;
 }
 
 const char* EncoderKindName(EncoderKind k) {

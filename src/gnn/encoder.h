@@ -12,7 +12,6 @@
 #include "common/rng.h"
 #include "nn/adam.h"
 #include "nn/module.h"
-#include "nn/packed.h"
 
 namespace tango::gnn {
 
@@ -23,22 +22,30 @@ struct GraphBatch {
   int num_nodes() const { return features.rows(); }
 };
 
+/// The neighbours one encode aggregates over, drawn apart from the forward
+/// so a caller can tell whether two encodes of a graph saw the same sample.
+/// Per layer and node, the chosen neighbours in ascending order: node i of
+/// layer l owns nbrs[offsets[l·(n+1) + i], offsets[l·(n+1) + i + 1]).
+/// Empty for encoders that do not sample.
+struct NeighbourSample {
+  std::vector<int> offsets;
+  std::vector<int> nbrs;
+  bool operator==(const NeighbourSample&) const = default;
+};
+
 class Encoder {
  public:
   virtual ~Encoder() = default;
-  /// Encode a graph into per-node embeddings (N×out_dim). `rng` drives
-  /// neighbor sampling where the encoder uses it.
-  virtual nn::Var Encode(const GraphBatch& g, Rng& rng) = 0;
-  /// Tape-free inference encode (TangoSolve packed path): bit-identical
-  /// embeddings to Encode()->value, produced through pre-packed layer
-  /// weights without allocating autograd nodes. `param_version` invalidates
-  /// the packed cache — pass a counter that advances on every training
-  /// step. Consumes exactly the RNG draws Encode() would (neighbor
-  /// sampling), so callers can swap paths without desynchronizing streams.
-  /// Returns false when the encoder has no packed path (GAT's data-
-  /// dependent attention) — the caller falls back to Encode().
-  virtual bool EncodeInference(const GraphBatch& g, Rng& rng,
-                               std::uint64_t param_version, nn::Matrix* out);
+  /// Draw the neighbour sample of one encode from `rng`. Encoders that do
+  /// not sample draw nothing and return an empty sample.
+  virtual NeighbourSample Sample(const GraphBatch& g, Rng& rng) const;
+  /// Per-node embeddings (N×out_dim) of `g`, aggregated over `sample`.
+  virtual nn::Var Forward(const GraphBatch& g,
+                          const NeighbourSample& sample) const = 0;
+  /// Sample, then Forward: one full encode.
+  nn::Var Encode(const GraphBatch& g, Rng& rng) const {
+    return Forward(g, Sample(g, rng));
+  }
   virtual int out_dim() const = 0;
   virtual std::string name() const = 0;
 };
@@ -50,17 +57,17 @@ class GraphSage : public Encoder {
  public:
   GraphSage(nn::ParamStore& store, const std::string& name, int in_dim,
             int hidden_dim, int layers, int sample_p, Rng& rng);
-  nn::Var Encode(const GraphBatch& g, Rng& rng) override;
-  bool EncodeInference(const GraphBatch& g, Rng& rng,
-                       std::uint64_t param_version, nn::Matrix* out) override;
+  /// At most `sample_p` neighbours per node and layer, drawn without
+  /// replacement; nodes of degree ≤ p keep all neighbours and draw nothing.
+  NeighbourSample Sample(const GraphBatch& g, Rng& rng) const override;
+  nn::Var Forward(const GraphBatch& g,
+                  const NeighbourSample& sample) const override;
   int out_dim() const override { return hidden_; }
   std::string name() const override { return "GraphSAGE"; }
   int sample_p() const { return sample_p_; }
 
  private:
   std::vector<nn::Linear> layers_;
-  std::vector<nn::PackedLinear> packed_;
-  std::uint64_t packed_version_ = ~std::uint64_t{0};
   int hidden_;
   int sample_p_;
 };
@@ -70,16 +77,13 @@ class Gcn : public Encoder {
  public:
   Gcn(nn::ParamStore& store, const std::string& name, int in_dim,
       int hidden_dim, int layers, Rng& rng);
-  nn::Var Encode(const GraphBatch& g, Rng& rng) override;
-  bool EncodeInference(const GraphBatch& g, Rng& rng,
-                       std::uint64_t param_version, nn::Matrix* out) override;
+  nn::Var Forward(const GraphBatch& g,
+                  const NeighbourSample& sample) const override;
   int out_dim() const override { return hidden_; }
   std::string name() const override { return "GCN"; }
 
  private:
   std::vector<nn::Linear> layers_;
-  std::vector<nn::PackedLinear> packed_;
-  std::uint64_t packed_version_ = ~std::uint64_t{0};
   int hidden_;
 };
 
@@ -88,7 +92,8 @@ class Gat : public Encoder {
  public:
   Gat(nn::ParamStore& store, const std::string& name, int in_dim,
       int hidden_dim, int layers, Rng& rng);
-  nn::Var Encode(const GraphBatch& g, Rng& rng) override;
+  nn::Var Forward(const GraphBatch& g,
+                  const NeighbourSample& sample) const override;
   int out_dim() const override { return hidden_; }
   std::string name() const override { return "GAT"; }
 
@@ -108,16 +113,13 @@ class NativeEncoder : public Encoder {
  public:
   NativeEncoder(nn::ParamStore& store, const std::string& name, int in_dim,
                 int hidden_dim, Rng& rng);
-  nn::Var Encode(const GraphBatch& g, Rng& rng) override;
-  bool EncodeInference(const GraphBatch& g, Rng& rng,
-                       std::uint64_t param_version, nn::Matrix* out) override;
+  nn::Var Forward(const GraphBatch& g,
+                  const NeighbourSample& sample) const override;
   int out_dim() const override { return hidden_; }
   std::string name() const override { return "Native"; }
 
  private:
   nn::Linear proj_;
-  nn::PackedLinear packed_;
-  std::uint64_t packed_version_ = ~std::uint64_t{0};
   int hidden_;
 };
 

@@ -6,14 +6,14 @@
 #include <unordered_set>
 
 #include "common/logging.h"
-#include "nn/packed.h"
+#include "nn/gemm.h"
 
 namespace tango::nn {
 
 namespace {
 
-/// Every tape node ever created; read through NodeCount() so inference-only
-/// paths can prove they never touched the tape.
+/// Every tape node ever created; read through NodeCount() so tests can bound
+/// how many nodes a call allocates.
 std::atomic<std::int64_t> node_count{0};
 
 Var MakeNode(Matrix value, std::vector<Var> parents,
@@ -39,9 +39,8 @@ void Topo(const Var& v, std::unordered_set<Node*>& seen,
 
 }  // namespace
 
-// SoftmaxProbs lives in nn/packed.cpp: it is the shared forward kernel of
-// both the taped Softmax/LogSoftmax ops below and the tape-free inference
-// path, which is what keeps their probabilities bit-identical.
+// SoftmaxProbs lives in nn/gemm.cpp, beside the GEMM kernel: the taped
+// Softmax/LogSoftmax/entropy ops below and A2C's Act() share it.
 
 std::int64_t NodeCount() {
   return node_count.load(std::memory_order_relaxed);
@@ -96,7 +95,7 @@ Var MatMul(const Var& a, const Var& b) {
       pa->EnsureGrad().Add(n.grad.MatMul(pb->value.Transposed()));
     }
     if (pb->requires_grad) {
-      pb->EnsureGrad().Add(pa->value.Transposed().MatMul(n.grad));
+      pb->EnsureGrad().Add(pa->value.TransposedMatMul(n.grad));
     }
   });
 }
@@ -189,20 +188,15 @@ Var Scale(const Var& a, float s) {
 
 Var Relu(const Var& a) {
   Matrix out = a->value;
-  for (int r = 0; r < out.rows(); ++r) {
-    for (int c = 0; c < out.cols(); ++c) {
-      out.at(r, c) = std::max(0.0f, out.at(r, c));
-    }
-  }
+  float* d = out.data();
+  for (std::size_t i = 0; i < out.size(); ++i) d[i] = std::max(0.0f, d[i]);
   return MakeNode(std::move(out), {a}, [](Node& n) {
     if (!n.parents[0]->requires_grad) return;
-    Matrix& ag = n.parents[0]->EnsureGrad();
-    for (int r = 0; r < n.grad.rows(); ++r) {
-      for (int c = 0; c < n.grad.cols(); ++c) {
-        if (n.parents[0]->value.at(r, c) > 0.0f) {
-          ag.at(r, c) += n.grad.at(r, c);
-        }
-      }
+    const float* x = n.parents[0]->value.data();
+    const float* g = n.grad.data();
+    float* ag = n.parents[0]->EnsureGrad().data();
+    for (std::size_t i = 0; i < n.grad.size(); ++i) {
+      if (x[i] > 0.0f) ag[i] += g[i];
     }
   });
 }

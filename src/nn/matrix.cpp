@@ -1,8 +1,10 @@
 #include "nn/matrix.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
+#include "nn/gemm.h"
 
 namespace tango::nn {
 
@@ -29,32 +31,36 @@ void Matrix::XavierInit(Rng& rng) {
 }
 
 Matrix Matrix::Transposed() const {
+  // 16×16 blocks keep both the strided reads and the writes in cache.
+  constexpr int kBlock = 16;
   Matrix t(cols_, rows_);
-  for (int r = 0; r < rows_; ++r) {
-    for (int c = 0; c < cols_; ++c) {
-      t.at(c, r) = at(r, c);
+  const float* src = data();
+  float* dst = t.data();
+  const auto rows = static_cast<std::size_t>(rows_);
+  const auto cols = static_cast<std::size_t>(cols_);
+  for (std::size_t r0 = 0; r0 < rows; r0 += kBlock) {
+    const std::size_t r1 = std::min(rows, r0 + kBlock);
+    for (std::size_t c0 = 0; c0 < cols; c0 += kBlock) {
+      const std::size_t c1 = std::min(cols, c0 + kBlock);
+      for (std::size_t r = r0; r < r1; ++r) {
+        for (std::size_t c = c0; c < c1; ++c) {
+          dst[c * rows + r] = src[r * cols + c];
+        }
+      }
     }
   }
   return t;
 }
 
 Matrix Matrix::MatMul(const Matrix& other) const {
-  TANGO_CHECK(cols_ == other.rows_, "matmul shape mismatch %dx%d * %dx%d",
-              rows_, cols_, other.rows_, other.cols_);
   Matrix out(rows_, other.cols_);
-  for (int i = 0; i < rows_; ++i) {
-    for (int k = 0; k < cols_; ++k) {
-      const float a = at(i, k);
-      if (a == 0.0f) continue;
-      const float* brow = other.data() + static_cast<std::size_t>(k) *
-                                             static_cast<std::size_t>(other.cols_);
-      float* orow = out.data() + static_cast<std::size_t>(i) *
-                                     static_cast<std::size_t>(other.cols_);
-      for (int j = 0; j < other.cols_; ++j) {
-        orow[j] += a * brow[j];
-      }
-    }
-  }
+  MatMulInto(*this, other, &out);
+  return out;
+}
+
+Matrix Matrix::TransposedMatMul(const Matrix& other) const {
+  Matrix out(cols_, other.cols_);
+  MatMulTransAInto(*this, other, &out);
   return out;
 }
 

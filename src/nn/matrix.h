@@ -1,7 +1,7 @@
 // Dense row-major float matrix — the storage type of the autograd engine.
 // Sized for the paper's networks (3-layer MLPs of 256/128/32 units, graphs
-// of up to ~1000 nodes), so simple loops beat the complexity of a BLAS
-// dependency.
+// of up to ~1000 nodes), so one register-tiled kernel (nn/gemm.h) beats the
+// complexity of a BLAS dependency.
 #pragma once
 
 #include <cstddef>
@@ -47,6 +47,8 @@ class Matrix {
 
   /// this * other (asserts on shape mismatch).
   Matrix MatMul(const Matrix& other) const;
+  /// thisᵀ * other, without materialising thisᵀ.
+  Matrix TransposedMatMul(const Matrix& other) const;
 
   /// In-place accumulate: this += other (same shape).
   void Add(const Matrix& other);

@@ -36,10 +36,6 @@ class Linear {
   int in_features() const { return in_; }
   int out_features() const { return out_; }
 
-  /// Raw parameter values — what the packed inference path re-packs from.
-  const Matrix& weight() const { return w_->value; }
-  const Matrix& bias() const { return b_->value; }
-
  private:
   Var w_;
   Var b_;
@@ -67,10 +63,6 @@ class Mlp {
   /// The paper's actor/critic body: in → 256 → 128 → 32 → out, ReLU.
   static Mlp PaperHead(ParamStore& store, const std::string& name, int in,
                        int out, Rng& rng);
-
-  /// Layer access for the packed inference path (re-packing weights).
-  const std::vector<Linear>& layers() const { return layers_; }
-  Activation hidden_activation() const { return hidden_; }
 
  private:
   std::vector<Linear> layers_;

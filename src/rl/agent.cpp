@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "nn/gemm.h"
 
 namespace tango::rl {
 
@@ -73,63 +74,35 @@ std::string A2cAgent::name() const {
   return std::string(gnn::EncoderKindName(cfg_.encoder)) + "-A2C";
 }
 
-Var A2cAgent::PolicyLogits(const GraphState& s, Var* value_out) {
-  const Var h = encoder_->Encode(s.graph, rng_);
+Var A2cAgent::PolicyLogits(const GraphState& s,
+                           const gnn::NeighbourSample& sample,
+                           Var* value_out) {
+  const Var h = encoder_->Forward(s.graph, sample);
   const Var scores = actor_.Forward(h);            // N×1
   const Var logits = nn::Transpose(scores);        // 1×N
-  if (value_out != nullptr) {
-    *value_out = critic_.Forward(MeanPool(h));     // 1×1
-  }
+  *value_out = critic_.Forward(MeanPool(h));       // 1×1
   return logits;
-}
-
-bool A2cAgent::PackedActionProbs(const GraphState& s, const Matrix& mask,
-                                 Matrix* probs) {
-  const auto version = static_cast<std::uint64_t>(train_steps_);
-  if (!encoder_->EncodeInference(s.graph, rng_, version, &embed_buf_)) {
-    return false;  // no packed path (GAT): RNG untouched, tape fallback
-  }
-  if (actor_packed_version_ != version || actor_packed_.empty()) {
-    actor_packed_.Clear();
-    for (const auto& l : actor_.layers()) {
-      actor_packed_.AddLayer(l.weight(), l.bias());
-    }
-    actor_packed_version_ = version;
-  }
-  const Matrix& scores = actor_packed_.Forward(embed_buf_);  // N×1
-  Matrix logits(1, scores.rows());
-  for (int i = 0; i < scores.rows(); ++i) {
-    logits.at(0, i) = scores.at(i, 0);
-  }
-  *probs = nn::SoftmaxProbs(logits, &mask);
-  return true;
 }
 
 int A2cAgent::Act(const GraphState& state, bool greedy) {
   const int n = state.graph.num_nodes();
   TANGO_CHECK(n > 0, "empty graph state");
   const Matrix mask = MaskRow(state.valid, n);
-  int action;
-  Matrix packed_probs;
-  if (cfg_.packed_inference && PackedActionProbs(state, mask, &packed_probs)) {
-    // Tape-free path: bit-identical probabilities (same GEMM accumulation
-    // order, same SoftmaxProbs kernel), zero autograd nodes allocated.
-    action = SampleRow(packed_probs, rng_, greedy);
-  } else {
-    const Var logits = PolicyLogits(state, nullptr);
-    const Var probs = nn::Softmax(logits, &mask);
-    action = SampleRow(probs->value, rng_, greedy);
-  }
-  pending_state_ = state;
-  pending_action_ = action;
-  return action;
+  Step step;
+  step.state = state;
+  step.sample = encoder_->Sample(step.state.graph, rng_);
+  step.logits = PolicyLogits(step.state, step.sample, &step.value);
+  step.action =
+      SampleRow(nn::SoftmaxProbs(step.logits->value, &mask), rng_, greedy);
+  pending_ = std::move(step);
+  return pending_->action;
 }
 
 void A2cAgent::Observe(float reward, const GraphState& next_state, bool done) {
-  TANGO_CHECK(pending_state_.has_value(), "Observe without Act");
-  rollout_.push_back({std::move(*pending_state_), pending_action_, reward});
-  pending_state_.reset();
-  pending_action_ = -1;
+  TANGO_CHECK(pending_.has_value(), "Observe without Act");
+  pending_->reward = reward;
+  rollout_.push_back(std::move(*pending_));
+  pending_.reset();
   if (done || static_cast<int>(rollout_.size()) >= cfg_.train_interval) {
     Train(next_state, done);
     rollout_.clear();
@@ -138,12 +111,12 @@ void A2cAgent::Observe(float reward, const GraphState& next_state, bool done) {
 
 void A2cAgent::Train(const GraphState& bootstrap_state, bool done) {
   if (rollout_.empty()) return;
-  // Bootstrap value of the state following the last stored step.
+  // Bootstrap value of the state following the last stored step; only the
+  // critic reads it.
   float boot = 0.0f;
   if (!done && bootstrap_state.graph.num_nodes() > 0) {
-    Var v;
-    PolicyLogits(bootstrap_state, &v);
-    boot = nn::ScalarValue(v);
+    const Var h = encoder_->Encode(bootstrap_state.graph, rng_);
+    boot = nn::ScalarValue(critic_.Forward(MeanPool(h)));
   }
   // Discounted returns, newest-to-oldest.
   std::vector<float> returns(rollout_.size());
@@ -157,11 +130,22 @@ void A2cAgent::Train(const GraphState& bootstrap_state, bool done) {
   float policy_loss_acc = 0.0f;
   float value_loss_acc = 0.0f;
   for (std::size_t i = 0; i < rollout_.size(); ++i) {
-    const Step& step = rollout_[i];
+    Step& step = rollout_[i];
     const int n = step.state.graph.num_nodes();
     const Matrix mask = MaskRow(step.state.valid, n);
-    Var value;
-    const Var logits = PolicyLogits(step.state, &value);
+    // Draw this step's sample where a re-run forward would draw it, so the
+    // RNG stream is unchanged; the act-time forward stands in for the
+    // re-run exactly when the samples agree.
+    const gnn::NeighbourSample sample =
+        encoder_->Sample(step.state.graph, rng_);
+    if (sample == step.sample) {
+      ++reuse_hits_;
+    } else {
+      ++reuse_misses_;
+      step.logits = PolicyLogits(step.state, sample, &step.value);
+    }
+    const Var& logits = step.logits;
+    const Var& value = step.value;
     const Var logp = nn::LogSoftmax(logits, &mask);
     const Var logp_a = nn::GatherCols(logp, {step.action});  // 1×1
     const float advantage = returns[i] - nn::ScalarValue(value);

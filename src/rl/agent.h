@@ -16,7 +16,6 @@
 
 #include "gnn/encoder.h"
 #include "nn/adam.h"
-#include "nn/packed.h"
 
 namespace tango::rl {
 
@@ -50,14 +49,16 @@ struct A2cConfig {
   int train_interval = 16;
   nn::AdamConfig adam{};  // lr 2e-4 per the paper
   std::uint64_t seed = 7;
-  /// TangoSolve packed inference: Act() runs the encoder and actor head
-  /// through pre-packed weights without allocating autograd nodes. Actions
-  /// are bit-identical either way (the packed kernels reproduce the taped
-  /// arithmetic exactly); false forces the taped forward, used by the
-  /// equivalence tests. Training always uses the tape.
-  bool packed_inference = true;
 };
 
+/// Act() runs the taped forward and keeps it as the step's training record;
+/// Train() builds the A2C loss on those records and runs one Backward. The
+/// update draws each step's neighbour sample from the RNG exactly where a
+/// re-run forward would, and reuses the act-time forward when that sample
+/// equals the act-time one (always, unless GraphSAGE samples a node of
+/// degree > p); otherwise it rebuilds the step's forward on the new sample.
+/// Either way the parameters and actions are bit-identical to re-running
+/// every forward at update time.
 class A2cAgent : public Agent {
  public:
   explicit A2cAgent(const A2cConfig& cfg);
@@ -71,20 +72,28 @@ class A2cAgent : public Agent {
   float last_policy_loss() const { return last_policy_loss_; }
   float last_value_loss() const { return last_value_loss_; }
   std::size_t param_count() const { return store_.ParamCount(); }
+  const nn::ParamStore& params() const { return store_; }
+
+  /// Rollout steps whose act-time forward the update reused, and steps it
+  /// re-ran because the update's neighbour sample differed.
+  std::int64_t reuse_hits() const { return reuse_hits_; }
+  std::int64_t reuse_misses() const { return reuse_misses_; }
 
  private:
   struct Step {
     GraphState state;
-    int action;
-    float reward;
+    gnn::NeighbourSample sample;
+    nn::Var logits;  // 1×N actor logits
+    nn::Var value;   // 1×1 critic value
+    int action = -1;
+    float reward = 0.0f;
   };
 
-  nn::Var PolicyLogits(const GraphState& s, nn::Var* value_out);
+  /// Logits (1×N) and critic value of `s` encoded over `sample`.
+  nn::Var PolicyLogits(const GraphState& s,
+                       const gnn::NeighbourSample& sample,
+                       nn::Var* value_out);
   void Train(const GraphState& bootstrap_state, bool done);
-  /// Packed Act() forward; returns false (leaving the RNG untouched) when
-  /// the encoder has no inference path and the caller must use the tape.
-  bool PackedActionProbs(const GraphState& s, const nn::Matrix& mask,
-                         nn::Matrix* probs);
 
   A2cConfig cfg_;
   Rng rng_;
@@ -92,15 +101,12 @@ class A2cAgent : public Agent {
   std::unique_ptr<gnn::Encoder> encoder_;
   nn::Mlp actor_;
   nn::Mlp critic_;
-  /// Packed actor head, lazily re-packed when train_steps_ moves.
-  nn::PackedMlp actor_packed_;
-  std::uint64_t actor_packed_version_ = ~std::uint64_t{0};
-  nn::Matrix embed_buf_;
   std::unique_ptr<nn::Adam> opt_;
   std::vector<Step> rollout_;
-  std::optional<GraphState> pending_state_;
-  int pending_action_ = -1;
+  std::optional<Step> pending_;
   std::int64_t train_steps_ = 0;
+  std::int64_t reuse_hits_ = 0;
+  std::int64_t reuse_misses_ = 0;
   float last_policy_loss_ = 0.0f;
   float last_value_loss_ = 0.0f;
 };

@@ -1,7 +1,8 @@
 #include "sched/learned_be.h"
 
+#include <algorithm>
 #include <cmath>
-#include <map>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -21,50 +22,69 @@ LearnedBeScheduler::LearnedBeScheduler(const workload::ServiceCatalog* catalog,
 rl::GraphState LearnedBeScheduler::BuildState(
     const k8s::PendingRequest& pending, const StateStorage& storage) {
   const auto& svc = catalog_->Get(pending.request.service);
-  std::vector<NodeSnapshot> workers;
+  workers_.clear();
+  int lo = std::numeric_limits<int>::max();
+  int hi = std::numeric_limits<int>::min();
   for (const auto& s : storage.All()) {
-    if (!s.is_master) workers.push_back(s);
+    if (s.is_master) continue;
+    workers_.push_back(s);
+    lo = std::min(lo, s.cluster.value);
+    hi = std::max(hi, s.cluster.value);
   }
+  const std::size_t num_slots =
+      workers_.empty() ? 0 : static_cast<std::size_t>(hi - lo) + 1;
+  if (slots_.size() < num_slots) slots_.resize(num_slots);
+  for (std::size_t c = 0; c < num_slots; ++c) {
+    slots_[c].rep = nullptr;
+    slots_[c].slack_sum = 0.0;
+    slots_[c].count = 0;
+    slots_[c].members.clear();
+  }
+  auto slot_of = [this, lo](const NodeSnapshot& s) -> ClusterSlot& {
+    return slots_[static_cast<std::size_t>(s.cluster.value - lo)];
+  };
+
+  const std::vector<NodeSnapshot>* nodes = &workers_;
   if (cfg_.granularity == BeGranularity::kCluster) {
     // Collapse each cluster into one pseudo-node: resources are summed, the
     // representative NodeId is the least-loaded worker that fits the
     // request (what the dispatcher would pick after choosing the cluster).
-    std::map<ClusterId, NodeSnapshot> agg;
-    std::map<ClusterId, const NodeSnapshot*> representative;
-    std::map<ClusterId, double> slack_sum;
-    std::map<ClusterId, int> count;
-    for (const auto& s : workers) {
-      auto [it, fresh] = agg.try_emplace(s.cluster, s);
-      if (!fresh) {
-        it->second.cpu_total += s.cpu_total;
-        it->second.cpu_available += s.cpu_available;
-        it->second.mem_total += s.mem_total;
-        it->second.mem_available += s.mem_available;
-        it->second.queued += s.queued;
-        it->second.running_be += s.running_be;
-        it->second.running_lc += s.running_lc;
+    for (const auto& s : workers_) {
+      ClusterSlot& slot = slot_of(s);
+      if (slot.count == 0) {
+        slot.agg = s;
+      } else {
+        slot.agg.cpu_total += s.cpu_total;
+        slot.agg.cpu_available += s.cpu_available;
+        slot.agg.mem_total += s.mem_total;
+        slot.agg.mem_available += s.mem_available;
+        slot.agg.queued += s.queued;
+        slot.agg.running_be += s.running_be;
+        slot.agg.running_lc += s.running_lc;
       }
-      slack_sum[s.cluster] += s.slack_score;
-      count[s.cluster] += 1;
+      slot.slack_sum += s.slack_score;
+      slot.count += 1;
       const bool fits = s.cpu_available >= svc.cpu_demand &&
                         s.mem_available >= svc.mem_demand;
-      auto& rep = representative[s.cluster];
-      if (fits && (rep == nullptr || s.cpu_available > rep->cpu_available)) {
-        rep = &s;
+      if (fits &&
+          (slot.rep == nullptr || s.cpu_available > slot.rep->cpu_available)) {
+        slot.rep = &s;
       }
     }
-    std::vector<NodeSnapshot> clusters;
-    for (auto& [cid, snap] : agg) {
-      snap.slack_score = slack_sum[cid] / std::max(1, count[cid]);
+    clusters_.clear();
+    for (std::size_t c = 0; c < num_slots; ++c) {
+      const ClusterSlot& slot = slots_[c];
+      if (slot.count == 0) continue;
+      NodeSnapshot snap = slot.agg;
+      snap.slack_score = slot.slack_sum / slot.count;
       // The pseudo-node's id routes to the representative worker; fall back
       // to the first worker when nothing fits (request will queue there).
-      if (representative[cid] != nullptr) {
-        snap.node = representative[cid]->node;
-      }
-      clusters.push_back(snap);
+      if (slot.rep != nullptr) snap.node = slot.rep->node;
+      clusters_.push_back(snap);
     }
-    workers = std::move(clusters);
+    nodes = &clusters_;
   }
+  const std::vector<NodeSnapshot>& workers = *nodes;
   const int n = static_cast<int>(workers.size());
   rl::GraphState state;
   node_order_.clear();
@@ -91,12 +111,16 @@ rl::GraphState LearnedBeScheduler::BuildState(
 
   // ---- Adjacency: full mesh inside a cluster (LAN) plus a bounded number
   // of inter-cluster links so the GNN can see remote load.
-  std::map<ClusterId, std::vector<int>> by_cluster;
   for (int i = 0; i < n; ++i) {
-    by_cluster[workers[static_cast<std::size_t>(i)].cluster].push_back(i);
+    slot_of(workers[static_cast<std::size_t>(i)]).members.push_back(i);
+  }
+  ring_.clear();
+  for (std::size_t c = 0; c < num_slots; ++c) {
+    if (!slots_[c].members.empty()) ring_.push_back(&slots_[c].members);
   }
   state.graph.adj.assign(static_cast<std::size_t>(n), {});
-  for (const auto& [cid, members] : by_cluster) {
+  for (const std::vector<int>* members_ptr : ring_) {
+    const std::vector<int>& members = *members_ptr;
     for (std::size_t a = 0; a < members.size(); ++a) {
       for (std::size_t b = a + 1; b < members.size(); ++b) {
         state.graph.adj[static_cast<std::size_t>(members[a])].push_back(
@@ -107,12 +131,10 @@ rl::GraphState LearnedBeScheduler::BuildState(
     }
   }
   // Ring of clusters (by id) with `inter_cluster_links` bridges each.
-  std::vector<const std::vector<int>*> cluster_list;
-  for (const auto& [cid, members] : by_cluster) cluster_list.push_back(&members);
-  const int c = static_cast<int>(cluster_list.size());
+  const int c = static_cast<int>(ring_.size());
   for (int ci = 0; ci + 1 < c + (c > 2 ? 1 : 0); ++ci) {
-    const auto& a = *cluster_list[static_cast<std::size_t>(ci % c)];
-    const auto& b = *cluster_list[static_cast<std::size_t>((ci + 1) % c)];
+    const auto& a = *ring_[static_cast<std::size_t>(ci % c)];
+    const auto& b = *ring_[static_cast<std::size_t>((ci + 1) % c)];
     const int links = std::min<int>(
         cfg_.inter_cluster_links,
         static_cast<int>(std::min(a.size(), b.size())));
@@ -201,7 +223,6 @@ std::unique_ptr<LearnedBeScheduler> MakeDcgBe(
   cfg.encoder = encoder;
   cfg.seed = seed;
   cfg.adam.lr = be_cfg.learning_rate;
-  cfg.packed_inference = be_cfg.packed_inference;
   return std::make_unique<LearnedBeScheduler>(
       catalog, std::make_unique<rl::A2cAgent>(cfg), be_cfg);
 }

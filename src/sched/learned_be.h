@@ -35,11 +35,6 @@ struct LearnedBeConfig {
   /// Learning rate. The paper fixes 2e-4 over hours-long traces; compressed
   /// experiment horizons scale it up proportionally (see DESIGN.md).
   float learning_rate = 2e-4f;
-  /// TangoSolve packed inference (A2C/DCG-BE only): per-request Act()
-  /// forwards run through pre-packed weights off the autograd tape.
-  /// Actions are bit-identical either way; false forces the taped forward
-  /// (used for equivalence comparisons).
-  bool packed_inference = true;
 };
 
 /// Builds graph states from the state storage and drives an rl::Agent.
@@ -68,10 +63,25 @@ class LearnedBeScheduler : public k8s::BeScheduler {
   float ShortReward(const metrics::NodeSnapshot& target,
                     const workload::ServiceSpec& svc) const;
 
+  /// BuildState's per-cluster scratch, one slot per ClusterId in the
+  /// decision's [lowest, highest] id range (ids are dense cluster indices),
+  /// walked in ascending id order.
+  struct ClusterSlot {
+    metrics::NodeSnapshot agg;  // summed resources (kCluster)
+    const metrics::NodeSnapshot* rep = nullptr;  // least-loaded fitting
+    double slack_sum = 0.0;
+    int count = 0;
+    std::vector<int> members;  // graph node indices
+  };
+
   const workload::ServiceCatalog* catalog_;
   std::unique_ptr<rl::Agent> agent_;
   LearnedBeConfig cfg_;
   std::vector<NodeId> node_order_;  // action index → NodeId of last state
+  std::vector<metrics::NodeSnapshot> workers_;   // BuildState scratch
+  std::vector<metrics::NodeSnapshot> clusters_;  // BuildState scratch
+  std::vector<ClusterSlot> slots_;                // BuildState scratch
+  std::vector<const std::vector<int>*> ring_;     // BuildState scratch
   bool has_pending_ = false;
   NodeId last_target_;
   ServiceId last_service_;

@@ -1,6 +1,7 @@
 // Tests for the graph encoders (GraphSAGE, GCN, GAT, Native).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "gnn/encoder.h"
@@ -194,79 +195,66 @@ TEST(EncoderFactory, NamesAreStable) {
   EXPECT_STREQ(EncoderKindName(EncoderKind::kNative), "Native");
 }
 
-// ---- TangoSolve packed inference ------------------------------------------
+// ---- Neighbour sampling split from the forward -----------------------------
 
-TEST_P(EncoderKindTest, PackedInferenceMatchesTapedEncodeExactly) {
+TEST_P(EncoderKindTest, SampleThenForwardIsEncode) {
   Rng rng(7);
   nn::ParamStore store;
   auto enc = MakeEncoder(GetParam(), store, "e", 4, 16, rng);
   const GraphBatch g = TwoTriangles();
-  // Identical RNG streams: the packed path promises to consume exactly the
-  // draws Encode() would (GraphSAGE's neighbor sampling).
-  Rng fwd_taped(11);
-  Rng fwd_packed(11);
-  const nn::Var taped = enc->Encode(g, fwd_taped);
-
-  nn::Matrix packed;
-  const auto before = nn::NodeCount();
-  const bool supported = enc->EncodeInference(g, fwd_packed, 0, &packed);
-  if (GetParam() == EncoderKind::kGat) {
-    // GAT's data-dependent attention has no packed path; the fallback
-    // contract is a clean false with the RNG untouched.
-    EXPECT_FALSE(supported);
-    EXPECT_EQ(fwd_packed.NextDouble(), Rng(11).NextDouble());
-    return;
-  }
-  ASSERT_TRUE(supported);
-  EXPECT_EQ(nn::NodeCount(), before)
-      << "EncodeInference must not allocate tape nodes";
-  ASSERT_EQ(packed.rows(), taped->value.rows());
-  ASSERT_EQ(packed.cols(), taped->value.cols());
-  for (int r = 0; r < packed.rows(); ++r) {
-    for (int c = 0; c < packed.cols(); ++c) {
-      ASSERT_EQ(packed.at(r, c), taped->value.at(r, c))
+  Rng whole(11);
+  Rng split(11);
+  const nn::Var encoded = enc->Encode(g, whole);
+  const NeighbourSample sample = enc->Sample(g, split);
+  const nn::Var forward = enc->Forward(g, sample);
+  ASSERT_TRUE(forward->value.SameShape(encoded->value));
+  for (int r = 0; r < forward->value.rows(); ++r) {
+    for (int c = 0; c < forward->value.cols(); ++c) {
+      ASSERT_EQ(forward->value.at(r, c), encoded->value.at(r, c))
           << "entry (" << r << "," << c << ")";
     }
   }
-  // Both paths must leave the RNG in the same state.
-  EXPECT_EQ(fwd_taped.NextDouble(), fwd_packed.NextDouble());
+  // Both leave the RNG at the same point of its stream.
+  EXPECT_EQ(whole.NextDouble(), split.NextDouble());
+  if (GetParam() != EncoderKind::kGraphSage) {
+    EXPECT_TRUE(sample.offsets.empty() && sample.nbrs.empty());
+  }
 }
 
-TEST(GraphSage, PackedCacheRepacksWhenParamVersionMoves) {
+TEST(GraphSage, SampleDrawsOnlyAboveDegreeP) {
   Rng rng(19);
   nn::ParamStore store;
   auto enc = MakeEncoder(EncoderKind::kGraphSage, store, "e", 4, 8, rng);
+  // TwoTriangles' degrees are 2 and 3, all within p = 3: nothing is drawn,
+  // every neighbour is kept, and any two samples agree.
   const GraphBatch g = TwoTriangles();
-  nn::Matrix before_update;
   Rng f1(3);
-  ASSERT_TRUE(enc->EncodeInference(g, f1, /*param_version=*/0,
-                                   &before_update));
-  // Perturb a weight (as a training step would), keep the version: the
-  // stale pack must still be served (repack is version-driven, not
-  // value-driven)...
-  store.params()[0]->value.at(0, 0) += 1.0f;
-  nn::Matrix stale;
-  Rng f2(3);
-  ASSERT_TRUE(enc->EncodeInference(g, f2, /*param_version=*/0, &stale));
-  for (int r = 0; r < stale.rows(); ++r) {
-    for (int c = 0; c < stale.cols(); ++c) {
-      ASSERT_EQ(stale.at(r, c), before_update.at(r, c));
+  const NeighbourSample all = enc->Sample(g, f1);
+  EXPECT_EQ(f1.NextDouble(), Rng(3).NextDouble());
+  Rng f2(4);
+  EXPECT_EQ(enc->Sample(g, f2), all);
+  ASSERT_EQ(all.offsets.size(), 2u * 7u);  // two layers of n + 1 offsets
+  EXPECT_EQ(all.offsets[6], 14);           // 2+2+3+3+2+2 neighbours
+  // A hub of degree 5 keeps a sorted sample of p = 3 per layer, and
+  // different RNG streams disagree on it at least once over a few draws.
+  GraphBatch star;
+  star.features = Matrix(6, 4, 0.5f);
+  star.adj = {{1, 2, 3, 4, 5}, {0}, {0}, {0}, {0}, {0}};
+  bool differed = false;
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    Rng a(seed);
+    Rng b(seed + 100);
+    const NeighbourSample sa = enc->Sample(star, a);
+    for (int l = 0; l < 2; ++l) {
+      const int begin = sa.offsets[static_cast<std::size_t>(l * 7)];
+      const int end = sa.offsets[static_cast<std::size_t>(l * 7 + 1)];
+      ASSERT_EQ(end - begin, 3);
+      EXPECT_TRUE(std::is_sorted(sa.nbrs.begin() + begin,
+                                 sa.nbrs.begin() + end));
     }
+    differed = differed || !(sa == enc->Sample(star, b));
   }
-  // ...and bumping the version must re-pack and match a fresh taped pass.
-  nn::Matrix repacked;
-  Rng f3(3);
-  ASSERT_TRUE(enc->EncodeInference(g, f3, /*param_version=*/1, &repacked));
-  Rng f4(3);
-  const nn::Var taped = enc->Encode(g, f4);
-  bool any_diff = false;
-  for (int r = 0; r < repacked.rows(); ++r) {
-    for (int c = 0; c < repacked.cols(); ++c) {
-      ASSERT_EQ(repacked.at(r, c), taped->value.at(r, c));
-      any_diff = any_diff || repacked.at(r, c) != before_update.at(r, c);
-    }
-  }
-  EXPECT_TRUE(any_diff) << "weight perturbation should change embeddings";
+  EXPECT_TRUE(differed);
 }
 
 }  // namespace

@@ -114,32 +114,41 @@ TEST_F(LearnedBeFixture, EmptyStorageYieldsNullopt) {
   EXPECT_FALSE(sched->ScheduleOne(BeReq(), st, 0).has_value());
 }
 
-TEST_F(LearnedBeFixture, PackedInferenceSchedulesIdenticallyToTaped) {
-  // TangoSolve: DCG-BE with the packed (tape-free) Act path must place
-  // every request on the same node the taped forward would, through
-  // training steps and completions.
-  LearnedBeConfig packed_cfg;
-  packed_cfg.packed_inference = true;
-  LearnedBeConfig taped_cfg;
-  taped_cfg.packed_inference = false;
-  auto packed =
-      MakeDcgBe(&catalog, gnn::EncoderKind::kGraphSage, 17, packed_cfg);
-  auto taped =
-      MakeDcgBe(&catalog, gnn::EncoderKind::kGraphSage, 17, taped_cfg);
+/// Workers of clusters 5, 0, 2 interleaved in NodeId order; the cluster ids
+/// leave gaps.
+StateStorage InterleavedClusters() {
   StateStorage st;
-  st.Update(Worker(1, 0, 3000, 6000));
+  st.Update(Worker(1, 5, 1000, 8192));
   st.Update(Worker(2, 0, 2000, 8192));
-  st.Update(Worker(3, 1, 4000, 8192));
-  for (int i = 0; i < 40; ++i) {
-    const auto a = packed->ScheduleOne(BeReq(), st, i);
-    const auto b = taped->ScheduleOne(BeReq(), st, i);
-    ASSERT_EQ(a.has_value(), b.has_value()) << "step " << i;
-    if (a.has_value()) {
-      EXPECT_EQ(*a, *b) << "step " << i;
-      packed->OnBeCompleted(*a, BeReq().request, i);
-      taped->OnBeCompleted(*b, BeReq().request, i);
-    }
-  }
+  st.Update(Worker(3, 2, 3000, 8192));
+  st.Update(Worker(4, 0, 4000, 8192));
+  st.Update(Worker(5, 5, 500, 8192));
+  st.Update(Worker(6, 2, 100, 8192));
+  st.Update(Worker(7, 0, 1000, 8192));
+  return st;
+}
+
+TEST_F(LearnedBeFixture, BuildStateLinksClustersInIdOrder) {
+  // Nodes stay in NodeId order; meshes and the ring of bridges follow
+  // ascending ClusterId (0: nodes 1,3,6; 2: nodes 2,5; 5: nodes 0,4).
+  const auto state = sched->BuildState(BeReq(), InterleavedClusters());
+  const std::vector<std::vector<int>> want = {
+      {4, 2, 1}, {3, 6, 2, 0}, {5, 1, 0}, {1, 6, 5, 4},
+      {0, 5, 3}, {2, 3, 4},    {1, 3}};
+  EXPECT_EQ(state.graph.adj, want);
+}
+
+TEST_F(LearnedBeFixture, ClusterGranularityOrdersPseudoNodesById) {
+  LearnedBeConfig cfg;
+  cfg.granularity = BeGranularity::kCluster;
+  auto clustered = MakeDcgBe(&catalog, gnn::EncoderKind::kGraphSage, 3, cfg);
+  const auto state = clustered->BuildState(BeReq(), InterleavedClusters());
+  ASSERT_EQ(state.graph.num_nodes(), 3);
+  EXPECT_FLOAT_EQ(state.graph.features.at(0, 0), 7000.0f / 12000.0f);
+  EXPECT_FLOAT_EQ(state.graph.features.at(1, 0), 3100.0f / 8000.0f);
+  EXPECT_FLOAT_EQ(state.graph.features.at(2, 0), 1500.0f / 8000.0f);
+  const std::vector<std::vector<int>> ring = {{1, 2}, {0, 2}, {1, 0}};
+  EXPECT_EQ(state.graph.adj, ring);
 }
 
 TEST_F(LearnedBeFixture, RewardAccumulatesCompletions) {

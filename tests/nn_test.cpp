@@ -2,13 +2,19 @@
 // (finite-difference) gradients, plus Adam convergence and module plumbing.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "nn/adam.h"
 #include "nn/autograd.h"
+#include "nn/gemm.h"
 #include "nn/module.h"
-#include "nn/packed.h"
 
 namespace tango::nn {
 namespace {
@@ -326,23 +332,130 @@ TEST(Module, MlpGradientFlowsToAllLayers) {
   EXPECT_GT(norm, 0.0f);
 }
 
-// ---- TangoSolve packed inference (nn/packed.h) ----------------------------
+// ---- GEMM kernel (nn/gemm.h) ----------------------------------------------
 
-/// Exact float equality, element by element — the packed kernels promise
-/// bit-identical results, not approximate ones.
-void ExpectExactlyEqual(const Matrix& a, const Matrix& b) {
-  ASSERT_EQ(a.rows(), b.rows());
-  ASSERT_EQ(a.cols(), b.cols());
+/// The product the kernel must reproduce bit for bit: i-k-j order, sums
+/// starting at +0.0f, zero entries of `a` skipped.
+Matrix NaiveMatMul(const Matrix& a, const Matrix& b) {
+  Matrix out(a.rows(), b.cols());
+  for (int i = 0; i < a.rows(); ++i) {
+    for (int k = 0; k < a.cols(); ++k) {
+      const float v = a.at(i, k);
+      if (v == 0.0f) continue;
+      for (int j = 0; j < b.cols(); ++j) out.at(i, j) += v * b.at(k, j);
+    }
+  }
+  return out;
+}
+
+Matrix NaiveTranspose(const Matrix& a) {
+  Matrix t(a.cols(), a.rows());
   for (int r = 0; r < a.rows(); ++r) {
-    for (int c = 0; c < a.cols(); ++c) {
-      ASSERT_EQ(a.at(r, c), b.at(r, c)) << "entry (" << r << "," << c << ")";
+    for (int c = 0; c < a.cols(); ++c) t.at(c, r) = a.at(r, c);
+  }
+  return t;
+}
+
+/// Bitwise equality, element by element: tells −0.0 from +0.0 and matches
+/// NaN payloads, so "exact" means exact.
+void ExpectSameBits(const Matrix& want, const Matrix& got,
+                    const std::string& what) {
+  ASSERT_EQ(want.rows(), got.rows()) << what;
+  ASSERT_EQ(want.cols(), got.cols()) << what;
+  for (int r = 0; r < want.rows(); ++r) {
+    for (int c = 0; c < want.cols(); ++c) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(want.at(r, c)),
+                std::bit_cast<std::uint32_t>(got.at(r, c)))
+          << what << " entry (" << r << "," << c << "): want "
+          << want.at(r, c) << ", got " << got.at(r, c);
     }
   }
 }
 
-TEST(Packed, GemmMatchesNaiveExactlyAcrossShapes) {
-  // Shapes straddle the panel width (48) and include the paper's layer
-  // sizes; sprinkled exact zeros exercise the mirrored sparse-row skip.
+/// A left operand with the inputs the zero skip must get right: ReLU-sparse
+/// values, −0.0 entries and all-zero rows.
+Matrix SparseOperand(int rows, int cols, Rng& rng) {
+  Matrix m(rows, cols);
+  for (int i = 0; i < rows; ++i) {
+    const bool zero_row = rng.UniformInt(0, 7) == 0;
+    for (int j = 0; j < cols; ++j) {
+      const float v = static_cast<float>(rng.Uniform(-1.0, 1.0));
+      float x = std::max(0.0f, v);  // ReLU: about half the entries are zero
+      if (rng.UniformInt(0, 15) == 0) x = -0.0f;
+      m.at(i, j) = zero_row ? 0.0f : x;
+    }
+  }
+  return m;
+}
+
+/// Zeroes slice `k` of the left operand (column k of a for a·b, row k of a
+/// for aᵀ·b) and puts inf and NaN in row k of `b`: the skip must keep them
+/// out of every sum.
+void PoisonBehindZero(Matrix* a, Matrix* b, int k, bool transposed) {
+  const float poison[] = {std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN(),
+                          -std::numeric_limits<float>::infinity()};
+  if (transposed) {
+    for (int c = 0; c < a->cols(); ++c) a->at(k, c) = c % 2 ? -0.0f : 0.0f;
+  } else {
+    for (int r = 0; r < a->rows(); ++r) a->at(r, k) = r % 2 ? -0.0f : 0.0f;
+  }
+  for (int j = 0; j < b->cols(); ++j) b->at(k, j) = poison[j % 3];
+}
+
+/// Seeded random shapes from 1 to 300 (k beyond the kernel's 256-entry
+/// packing chunk included), widths off every tile multiple, k = 1, and the
+/// operands above, through both products of one kernel variant.
+void CheckKernelAgainstNaive(GemmIsa isa) {
+  Rng rng(20231);
+  std::vector<std::array<int, 3>> shapes = {
+      {1, 1, 1},    {3, 1, 70},   {104, 104, 9}, {104, 18, 64},
+      {104, 128, 64}, {104, 64, 256}, {104, 256, 128}, {104, 32, 1},
+      {7, 300, 33}, {300, 257, 65}, {2, 9, 7},     {5, 40, 63}};
+  for (int t = 0; t < 24; ++t) {
+    const int limit = t % 2 == 0 ? 300 : 24;
+    shapes.push_back({static_cast<int>(rng.UniformInt(1, limit)),
+                      static_cast<int>(rng.UniformInt(1, limit)),
+                      static_cast<int>(rng.UniformInt(1, limit))});
+  }
+  for (const auto& [m, k, n] : shapes) {
+    const std::string what = "isa " + std::to_string(static_cast<int>(isa)) +
+                             " shape " + std::to_string(m) + "x" +
+                             std::to_string(k) + "x" + std::to_string(n);
+    // a·b: a is m×k.
+    Matrix a = SparseOperand(m, k, rng);
+    Matrix b = RandomMatrix(k, n, rng);
+    const int poisoned = static_cast<int>(rng.UniformInt(0, k - 1));
+    if (k > 1) PoisonBehindZero(&a, &b, poisoned, /*transposed=*/false);
+    // The kernel must overwrite every element of a caller-sized output.
+    Matrix out(m, n, std::numeric_limits<float>::quiet_NaN());
+    MatMulInto(a, b, &out, isa);
+    ExpectSameBits(NaiveMatMul(a, b), out, what + " a*b");
+
+    // aᵀ·b: a is k×m.
+    Matrix at = SparseOperand(k, m, rng);
+    Matrix bt = RandomMatrix(k, n, rng);
+    if (k > 1) PoisonBehindZero(&at, &bt, poisoned, /*transposed=*/true);
+    Matrix out_t(m, n, std::numeric_limits<float>::quiet_NaN());
+    MatMulTransAInto(at, bt, &out_t, isa);
+    ExpectSameBits(NaiveMatMul(NaiveTranspose(at), bt), out_t, what + " aT*b");
+  }
+}
+
+TEST(Gemm, BaselineMatchesNaiveBitForBit) {
+  CheckKernelAgainstNaive(GemmIsa::kBaseline);
+}
+
+TEST(Gemm, Avx2MatchesNaiveBitForBit) {
+  if (!GemmIsaSupported(GemmIsa::kAvx2)) {
+    GTEST_SKIP() << "host lacks AVX2";
+  }
+  CheckKernelAgainstNaive(GemmIsa::kAvx2);
+}
+
+TEST(Gemm, MatchesNaiveExactlyAcrossShapes) {
+  // Matrix's own entry points on the active variant, at the paper's layer
+  // sizes; sprinkled exact zeros exercise the sparse-row skip.
   Rng rng(31);
   const int shapes[][3] = {{1, 9, 64},   {6, 64, 256}, {3, 256, 128},
                            {2, 128, 32}, {5, 32, 1},   {4, 47, 49},
@@ -355,69 +468,23 @@ TEST(Packed, GemmMatchesNaiveExactlyAcrossShapes) {
         if (rng.UniformInt(0, 3) == 0) a.at(r, c) = 0.0f;
       }
     }
-    const Matrix naive = a.MatMul(b);
-    PackedMatrix pb(b);
-    Matrix packed;
-    pb.MatMulInto(a, &packed);
-    ExpectExactlyEqual(naive, packed);
-    // Reusing the output buffer (the steady-state path) must also be exact.
-    pb.MatMulInto(a, &packed);
-    ExpectExactlyEqual(naive, packed);
+    ExpectSameBits(NaiveMatMul(a, b), a.MatMul(b), "MatMul");
+    const Matrix c = RandomMatrix(s[0], s[2], rng);
+    ExpectSameBits(NaiveMatMul(a.Transposed(), c), a.TransposedMatMul(c),
+                   "TransposedMatMul");
   }
 }
 
-TEST(Packed, LinearAndMlpMatchTapedForwardExactly) {
-  Rng rng(32);
-  ParamStore store;
-  Mlp mlp = Mlp::PaperHead(store, "m", 9, 1, rng);
-  const Matrix x = RandomMatrix(7, 9, rng);
-  const Var taped = mlp.Forward(Constant(x));
-
-  PackedMlp packed;
-  for (const auto& l : mlp.layers()) packed.AddLayer(l.weight(), l.bias());
-  ExpectExactlyEqual(taped->value, packed.Forward(x));
-
-  // Single layer, same contract.
-  Linear lin(store, "l", 9, 13, rng);
-  const Var ty = lin.Forward(Constant(x));
-  PackedLinear pl(lin.weight(), lin.bias());
-  Matrix py;
-  pl.Forward(x, &py);
-  ExpectExactlyEqual(ty->value, py);
-}
-
-TEST(Packed, SoftmaxProbsIsTheTapedSoftmaxForward) {
+TEST(Gemm, SoftmaxProbsIsTheTapedSoftmaxForward) {
   Rng rng(33);
   const Matrix logits = RandomMatrix(3, 8, rng, 4.0f);
   Matrix mask(3, 8, 1.0f);
   mask.at(0, 2) = 0.0f;
   mask.at(2, 7) = 0.0f;
   const Var taped = Softmax(Constant(logits), &mask);
-  ExpectExactlyEqual(taped->value, SoftmaxProbs(logits, &mask));
+  ExpectSameBits(taped->value, SoftmaxProbs(logits, &mask), "masked");
   const Var unmasked = Softmax(Constant(logits), nullptr);
-  ExpectExactlyEqual(unmasked->value, SoftmaxProbs(logits, nullptr));
-}
-
-TEST(Packed, ForwardAllocatesNoTapeNodes) {
-  Rng rng(34);
-  ParamStore store;
-  Mlp mlp = Mlp::PaperHead(store, "m", 9, 1, rng);
-  PackedMlp packed;
-  for (const auto& l : mlp.layers()) packed.AddLayer(l.weight(), l.bias());
-  const Matrix x = RandomMatrix(16, 9, rng);
-  Matrix mask(1, 16, 1.0f);
-  const auto before = NodeCount();
-  for (int i = 0; i < 10; ++i) {
-    const Matrix& y = packed.Forward(x);
-    Matrix logits(1, y.rows());
-    for (int r = 0; r < y.rows(); ++r) logits.at(0, r) = y.at(r, 0);
-    SoftmaxProbs(logits, &mask);
-  }
-  EXPECT_EQ(NodeCount(), before)
-      << "packed inference must never touch the autograd tape";
-  // Sanity: the taped path does move the counter.
-  mlp.Forward(Constant(x));
-  EXPECT_GT(NodeCount(), before);
+  ExpectSameBits(unmasked->value, SoftmaxProbs(logits, nullptr), "unmasked");
 }
 
 }  // namespace

@@ -25,11 +25,13 @@ degrades gracefully when optional external tools are missing:
                   and silently breaks byte-identity across shard counts.
                   Annotate deliberate uses with
                   `// tango-lint: allow(shard-isolation)`.
-  inference-tape  the packed inference kernels (src/nn/packed.h/.cpp) must
-                  stay off the autograd tape: no include of nn/autograd.h
-                  and no Var/Node/MakeNode/Backward references. autograd
-                  depends on packed (shared SoftmaxProbs kernel), so a
-                  reverse edge would also be an include cycle.
+  inference-tape  the GEMM kernel files (src/nn/gemm.h/.cpp) must stay off
+                  the autograd tape: no include of nn/autograd.h and no
+                  Var/Node/MakeNode/Backward references. The tape runs on
+                  the kernel (MatMul, SoftmaxProbs), so a reverse edge
+                  would be an include cycle, and a kernel that allocated
+                  tape nodes would break its write-into-caller-sized-output
+                  contract.
   storm-stream    src/storm generators are pull-based: no materialized
                   request vectors (std::vector<...Request...>) and no
                   push_back/emplace_back inside Next* paths — batches
@@ -94,10 +96,10 @@ SCHEDULE_CALL = re.compile(
 SHARD_OK_RECEIVERS = re.compile(r"^(sim_\s*->|sh\.sim\s*\.)\s*$")
 ALLOW_SHARD_ISOLATION = "tango-lint: allow(shard-isolation)"
 
-# The packed inference kernels promise tape-free forwards; any autograd
-# reference here silently reintroduces per-request Node allocations (and an
-# include cycle, since autograd.cpp uses packed's SoftmaxProbs).
-INFERENCE_TAPE_FILES = ("src/nn/packed.h", "src/nn/packed.cpp")
+# The GEMM kernel sits under the tape: autograd.cpp calls its MatMul and
+# SoftmaxProbs, so any autograd reference here is an include cycle and a
+# way for the kernel to start allocating Nodes.
+INFERENCE_TAPE_FILES = ("src/nn/gemm.h", "src/nn/gemm.cpp")
 INFERENCE_TAPE_INCLUDE = re.compile(r'#\s*include\s*"nn/autograd\.h"')
 INFERENCE_TAPE_BAN = re.compile(
     r"\b(?:nn::)?(Var|MakeNode|Backward|ZeroGrad)\b|\bstruct\s+Node\b"
@@ -240,14 +242,14 @@ def check_inference_tape(findings: list[str]) -> None:
             for i, raw in enumerate(f, 1):
                 if INFERENCE_TAPE_INCLUDE.search(raw):
                     findings.append(
-                        f"{r}:{i}: [inference-tape] packed inference must "
+                        f"{r}:{i}: [inference-tape] the GEMM kernel must "
                         f"not include nn/autograd.h: {raw.strip()}")
                     continue
                 line = strip_comments_and_strings(raw)
                 if INFERENCE_TAPE_BAN.search(line):
                     findings.append(
                         f"{r}:{i}: [inference-tape] autograd reference in "
-                        f"the tape-free inference kernel: {raw.strip()}")
+                        f"the tape-free GEMM kernel: {raw.strip()}")
 
 
 def check_storm_stream(findings: list[str]) -> None:

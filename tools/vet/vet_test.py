@@ -107,7 +107,7 @@ class RepoTreeTest(unittest.TestCase):
         for needle in ("MinCostMaxFlow::Solve", "MinCostMaxFlow::"
                        "SolveIncremental", "DssLcScheduler::Route",
                        "Simulator::RunUntil", "ShardEngine::RunShardEpoch",
-                       "PackedMlp::Forward"):
+                       "nn::MatMulInto"):
             self.assertTrue(any(needle in l for l in hot),
                             f"{needle} lost its TANGO_HOT marker")
 

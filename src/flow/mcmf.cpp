@@ -25,14 +25,10 @@ TANGO_COLD void MinCostMaxFlow::Reset(int num_nodes) {
   arc_cap_.clear();
   initial_cap_.clear();
   finalized_ = false;
-  has_solution_ = false;
-  has_base_ = false;
-  dirty_arcs_.clear();
   stamp_ = 0;
   AssignCounted(head_, n + 1, 0);
   AssignCounted(csr_cursor_, n, 0);
   AssignCounted(potential_, n, CostUnit{0});
-  AssignCounted(base_potential_, n, CostUnit{0});
   AssignCounted(dist_, n, kInfCost);
   AssignCounted(prev_slot_, n, -1);
   AssignCounted(dist_stamp_, n, std::uint64_t{0});
@@ -53,13 +49,8 @@ void MinCostMaxFlow::ReserveArcs(std::size_t num_arcs) {
   ReserveCounted(csr_to_, 2 * num_arcs);
   ReserveCounted(csr_cap_, 2 * num_arcs);
   ReserveCounted(csr_cost_, 2 * num_arcs);
-  ReserveCounted(arc_dirty_, num_arcs);
-  ReserveCounted(dirty_arcs_, num_arcs);
-  ReserveCounted(star_order_, num_arcs + 1);
   // Dijkstra pushes at most once per successful relaxation, so the heap
   // never outgrows the residual arc count (+1 for the source seed).
-  // Reserving here makes the capacity deterministic: without it the heap
-  // grows with solve history, which differs run-to-run in parallel mode.
   ReserveCounted(heap_, 2 * num_arcs + 1);
 }
 
@@ -101,10 +92,8 @@ TANGO_COLD void MinCostMaxFlow::Finalize() {
   AssignCounted(csr_to_, num_logical, 0);
   AssignCounted(csr_cap_, num_logical, FlowUnit{0});
   AssignCounted(csr_cost_, num_logical, CostUnit{0});
-  // Fill each tail's slots with its arcs in descending logical id: that is
-  // exactly the order the old `first_out_`/`next` linked list (which
-  // prepended on AddArc) walked them, so relaxation order — and therefore
-  // every tie-break and every solution — is unchanged by the CSR rebuild.
+  // Fill each tail's slots with its arcs in descending logical id, which
+  // fixes relaxation order — and every tie-break — by build order.
   for (std::size_t li = num_logical; li > 0; --li) {
     const std::size_t l = li - 1;
     const int tail = arc_to_[l ^ 1];
@@ -115,11 +104,7 @@ TANGO_COLD void MinCostMaxFlow::Finalize() {
     csr_cap_[Z(slot)] = arc_cap_[l];
     csr_cost_[Z(slot)] = arc_cost_[l];
   }
-  AssignCounted(arc_dirty_, num_logical / 2, char{0});
-  ReserveCounted(dirty_arcs_, num_logical / 2);
-  ReserveCounted(star_order_, num_logical / 2 + 1);
   ReserveCounted(heap_, num_logical + 1);
-  dirty_arcs_.clear();
   finalized_ = true;
 }
 
@@ -127,18 +112,7 @@ void MinCostMaxFlow::Definalize() {
   for (std::size_t l = 0; l < arc_to_.size(); ++l) {
     arc_cap_[l] = csr_cap_[Z(arc_slot_[l])];
   }
-  for (const int i : dirty_arcs_) arc_dirty_[Z(i)] = 0;
-  dirty_arcs_.clear();
   finalized_ = false;
-  has_solution_ = false;
-  has_base_ = false;
-}
-
-void MinCostMaxFlow::RestoreCaps() {
-  for (std::size_t s = 0; s < csr_arc_.size(); ++s) {
-    const int l = csr_arc_[s];
-    csr_cap_[s] = (l & 1) != 0 ? FlowUnit{0} : initial_cap_[Z(l / 2)];
-  }
 }
 
 FlowUnit MinCostMaxFlow::Flow(int arc_id) const {
@@ -154,7 +128,10 @@ FlowUnit MinCostMaxFlow::Residual(int arc_id) const {
 
 void MinCostMaxFlow::ResetFlow() {
   if (finalized_) {
-    RestoreCaps();
+    for (std::size_t s = 0; s < csr_arc_.size(); ++s) {
+      const int l = csr_arc_[s];
+      csr_cap_[s] = (l & 1) != 0 ? FlowUnit{0} : initial_cap_[Z(l / 2)];
+    }
   } else {
     for (std::size_t i = 0; i < initial_cap_.size(); ++i) {
       arc_cap_[2 * i] = initial_cap_[i];
@@ -162,33 +139,6 @@ void MinCostMaxFlow::ResetFlow() {
     }
   }
   std::fill(potential_.begin(), potential_.end(), CostUnit{0});
-  has_solution_ = false;
-  has_base_ = false;
-}
-
-void MinCostMaxFlow::BeginRound() {
-  TANGO_CHECK(num_nodes_ > 0, "Reset(num_nodes) before BeginRound");
-  if (!finalized_) Finalize();
-}
-
-void MinCostMaxFlow::UpdateArc(int arc_id, FlowUnit capacity, CostUnit cost) {
-  TANGO_CHECK(finalized_, "UpdateArc requires a finalized graph "
-                          "(call BeginRound first)");
-  TANGO_CHECK(arc_id >= 0 && arc_id < num_arcs(), "arc id %d out of range",
-              arc_id);
-  TANGO_CHECK(capacity >= 0, "negative capacity");
-  const auto fwd = Z(2 * arc_id);
-  initial_cap_[Z(arc_id)] = capacity;
-  arc_cost_[fwd] = cost;
-  arc_cost_[fwd + 1] = -cost;
-  csr_cost_[Z(arc_slot_[fwd])] = cost;
-  csr_cost_[Z(arc_slot_[fwd + 1])] = -cost;
-  ++delta_updates_;
-  if (arc_dirty_[Z(arc_id)] == 0) {
-    arc_dirty_[Z(arc_id)] = 1;
-    // TANGOVET_ALLOW_NEXT(amortized: pooled capacity)
-    dirty_arcs_.push_back(arc_id);
-  }
 }
 
 void MinCostMaxFlow::Spfa(int source) {
@@ -223,83 +173,9 @@ void MinCostMaxFlow::Spfa(int source) {
       }
     }
   }
-  // Exact shortest distances become both the working potentials and the
-  // cached basis the next warm solve can refresh from.
+  // Exact shortest distances become the working potentials.
   for (std::size_t v = 0; v < Z(num_nodes_); ++v) {
-    if (dist_stamp_[v] == stamp_) {
-      potential_[v] = dist_[v];
-      base_potential_[v] = dist_[v];
-    }
-  }
-  has_base_ = true;
-}
-
-bool MinCostMaxFlow::BaseFeasible() const {
-  // The basis is feasible iff every full-capacity forward arc has
-  // non-negative reduced cost under it; reverse arcs carry zero capacity
-  // after RestoreCaps so they impose no constraint.
-  for (std::size_t i = 0; i < initial_cap_.size(); ++i) {
-    if (initial_cap_[i] <= 0) continue;
-    const std::size_t fwd = 2 * i;
-    const int from = arc_to_[fwd ^ 1];
-    const int to = arc_to_[fwd];
-    if (arc_cost_[fwd] + base_potential_[Z(from)] - base_potential_[Z(to)] <
-        0) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void MinCostMaxFlow::DijkstraRefresh(int source) {
-  ++stamp_;
-  heap_.clear();
-  dist_[Z(source)] = 0;
-  dist_stamp_[Z(source)] = stamp_;
-  // TANGOVET_ALLOW_NEXT(amortized: pooled capacity)
-  heap_.emplace_back(0, source);
-  while (!heap_.empty()) {
-    const auto [d, u] = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    heap_.pop_back();
-    if (visited_stamp_[Z(u)] == stamp_) continue;
-    visited_stamp_[Z(u)] = stamp_;
-    const int end = head_[Z(u) + 1];
-    for (int s = head_[Z(u)]; s < end; ++s) {
-      if (csr_cap_[Z(s)] <= 0) continue;
-      const int v = csr_to_[Z(s)];
-      if (visited_stamp_[Z(v)] == stamp_) continue;
-      const CostUnit reduced = csr_cost_[Z(s)] + base_potential_[Z(u)] -
-                               base_potential_[Z(v)];
-      if constexpr (audit::kEnabled) {
-        TANGO_CHECK(reduced >= 0, "negative reduced cost %lld in refresh",
-                    static_cast<long long>(reduced));
-      }
-      const CostUnit nd = d + reduced;
-      if (dist_stamp_[Z(v)] != stamp_ || nd < dist_[Z(v)]) {
-        dist_[Z(v)] = nd;
-        dist_stamp_[Z(v)] = stamp_;
-        if (heap_.size() + 1 > heap_.capacity()) ++alloc_events_;
-        // TANGOVET_ALLOW_NEXT(amortized: pooled capacity)
-        heap_.emplace_back(nd, v);
-        std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-      }
-    }
-  }
-  // Un-reduce: true distance = reduced distance - pi(source) + pi(v). The
-  // result is numerically identical to what Spfa would compute for every
-  // reachable node, which is what makes warm solves byte-identical to cold
-  // ones. Unreachable nodes keep stale potentials; they are never read
-  // (every relaxation and every audit constraint is gated on a
-  // positive-capacity arc whose tail is reachable).
-  const CostUnit base_src = base_potential_[Z(source)];
-  for (std::size_t v = 0; v < Z(num_nodes_); ++v) {
-    if (dist_stamp_[v] == stamp_) {
-      potential_[v] = dist_[v] + base_potential_[v] - base_src;
-    }
-  }
-  for (std::size_t v = 0; v < Z(num_nodes_); ++v) {
-    if (dist_stamp_[v] == stamp_) base_potential_[v] = potential_[v];
+    if (dist_stamp_[v] == stamp_) potential_[v] = dist_[v];
   }
 }
 
@@ -347,9 +223,10 @@ bool MinCostMaxFlow::DijkstraToSink(int source, int sink) {
     }
   }
   if (dist_sink >= kInfCost) return false;
-  // Capped potential update pi(v) += min(dist(v), dist(sink)): keeps every
-  // reduced cost non-negative (case analysis in DESIGN.md §14) without
-  // needing labels beyond the sink, which the early exit never computed.
+  // Capped potential update pi(v) += min(dist(v), dist(sink)): every node
+  // settled before the sink has its exact distance, every other node's
+  // distance is at least dist(sink), so capping keeps all residual reduced
+  // costs non-negative without the labels the early exit never computed.
   for (std::size_t v = 0; v < Z(num_nodes_); ++v) {
     const bool labeled =
         dist_stamp_[v] == stamp_ && dist_[v] < dist_sink;
@@ -384,196 +261,14 @@ MinCostMaxFlow::Result MinCostMaxFlow::RunSsp(int source, int sink,
   return result;
 }
 
-bool MinCostMaxFlow::IsDispatchStar(int source, int sink) const {
-  if (head_[Z(source) + 1] - head_[Z(source)] != 1) return false;
-  const int s_slot = head_[Z(source)];
-  const int s_arc = csr_arc_[Z(s_slot)];
-  if ((s_arc & 1) != 0) return false;
-  const int hub = csr_to_[Z(s_slot)];
-  if (hub == source || hub == sink) return false;
-  const int hub_end = head_[Z(hub) + 1];
-  for (int hs = head_[Z(hub)]; hs < hub_end; ++hs) {
-    const int l = csr_arc_[Z(hs)];
-    if ((l & 1) != 0) {
-      // The only reverse arc out of the hub may be source->hub's (anything
-      // else means some other node feeds the hub).
-      if (l != (s_arc | 1)) return false;
-      continue;
-    }
-    const int w = csr_to_[Z(hs)];
-    if (w == source || w == sink || w == hub) return false;
-    if (head_[Z(w) + 1] - head_[Z(w)] != 2) return false;
-    bool saw_hub_rev = false;
-    bool saw_sink_arc = false;
-    for (int ws = head_[Z(w)]; ws < head_[Z(w) + 1]; ++ws) {
-      const int lw = csr_arc_[Z(ws)];
-      if (lw == (l | 1)) {
-        saw_hub_rev = true;
-      } else if ((lw & 1) == 0 && csr_to_[Z(ws)] == sink) {
-        saw_sink_arc = true;
-      } else {
-        return false;
-      }
-    }
-    if (!saw_hub_rev || !saw_sink_arc) return false;
-  }
-  // Forward arcs out of the sink would need consistent potentials beyond
-  // the closed-form ones the kernel installs; leave those to SSP.
-  const int sink_end = head_[Z(sink) + 1];
-  for (int ts = head_[Z(sink)]; ts < sink_end; ++ts) {
-    if ((csr_arc_[Z(ts)] & 1) == 0) return false;
-  }
-  return true;
-}
-
-MinCostMaxFlow::Result MinCostMaxFlow::SolveStar(int source, int sink,
-                                                 FlowUnit amount) {
-  Result result;
-  const int s_slot = head_[Z(source)];
-  const int hub = csr_to_[Z(s_slot)];
-  const CostUnit hub_cost = csr_cost_[Z(s_slot)];
-  // A worker's slot pair is {reverse-to-hub, forward-to-sink}; pick the
-  // forward one.
-  const auto sink_slot_of = [&](int w) {
-    const int first = head_[Z(w)];
-    return (csr_arc_[Z(first)] & 1) == 0 ? first : first + 1;
-  };
-  star_order_.clear();
-  const int hub_end = head_[Z(hub) + 1];
-  for (int hs = head_[Z(hub)]; hs < hub_end; ++hs) {
-    const int l = csr_arc_[Z(hs)];
-    if ((l & 1) != 0) continue;
-    const int wt = sink_slot_of(csr_to_[Z(hs)]);
-    if (star_order_.size() + 1 > star_order_.capacity()) ++alloc_events_;
-    // TANGOVET_ALLOW_NEXT(amortized: pooled capacity)
-    star_order_.emplace_back(hub_cost + csr_cost_[Z(hs)] + csr_cost_[Z(wt)],
-                             l);
-  }
-  // Fill chains in ascending (path cost, arc id): arc ids ascend in
-  // insertion order, which is exactly the order SSP's heap breaks
-  // equal-cost ties in (smallest node id first), so the greedy fill is
-  // byte-identical to running successive shortest paths.
-  std::sort(star_order_.begin(), star_order_.end());
-  FlowUnit remaining = std::min(amount, csr_cap_[Z(s_slot)]);
-  for (const auto& [path_cost, l] : star_order_) {
-    if (remaining <= 0) break;
-    const int m_slot = arc_slot_[Z(l)];
-    const int wt_slot = sink_slot_of(csr_to_[Z(m_slot)]);
-    const FlowUnit take = std::min(
-        {remaining, csr_cap_[Z(m_slot)], csr_cap_[Z(wt_slot)]});
-    if (take <= 0) continue;
-    csr_cap_[Z(m_slot)] -= take;
-    csr_cap_[Z(RevSlot(m_slot))] += take;
-    csr_cap_[Z(wt_slot)] -= take;
-    csr_cap_[Z(RevSlot(wt_slot))] += take;
-    csr_cap_[Z(s_slot)] -= take;
-    csr_cap_[Z(RevSlot(s_slot))] += take;
-    result.total_cost += take * path_cost;
-    result.max_flow += take;
-    remaining -= take;
-  }
-  result.saturated = (result.max_flow == amount);
-  // Closed-form certificate potentials (DESIGN.md §14): pi(source) = 0,
-  // pi(hub) = c(source->hub), pi(w) = pi(hub) + c(hub->w); the sink takes
-  // the most expensive used path (greedy fills the cheapest prefix, so
-  // every residual worker->sink arc costs at least that).
-  potential_[Z(source)] = 0;
-  potential_[Z(hub)] = hub_cost;
-  bool any_flow = false;
-  CostUnit max_used = 0;
-  CostUnit min_chain = kInfCost;
-  for (int hs = head_[Z(hub)]; hs < hub_end; ++hs) {
-    const int l = csr_arc_[Z(hs)];
-    if ((l & 1) != 0) continue;
-    const int w = csr_to_[Z(hs)];
-    const CostUnit pi_w = hub_cost + csr_cost_[Z(hs)];
-    potential_[Z(w)] = pi_w;
-    const int wt = sink_slot_of(w);
-    const CostUnit chain = pi_w + csr_cost_[Z(wt)];
-    min_chain = std::min(min_chain, chain);
-    if (csr_cap_[Z(RevSlot(wt))] > 0) {
-      max_used = any_flow ? std::max(max_used, chain) : chain;
-      any_flow = true;
-    }
-  }
-  potential_[Z(sink)] =
-      any_flow ? max_used : (min_chain == kInfCost ? 0 : min_chain);
-  return result;
-}
-
-void MinCostMaxFlow::FinishSolve(int source, int sink, FlowUnit amount,
-                                 const Result& r) {
-  has_solution_ = true;
-  memo_source_ = source;
-  memo_sink_ = sink;
-  memo_amount_ = amount;
-  memo_result_ = r;
-  for (const int i : dirty_arcs_) arc_dirty_[Z(i)] = 0;
-  dirty_arcs_.clear();
-}
-
-TANGO_HOT MinCostMaxFlow::Result MinCostMaxFlow::Solve(int source, int sink,
+MinCostMaxFlow::Result MinCostMaxFlow::Solve(int source, int sink,
                                              FlowUnit amount) {
   TANGO_CHECK(source != sink, "source == sink");
   TANGO_CHECK(num_nodes_ > 0, "Reset(num_nodes) before Solve");
-  TANGO_CHECK(dirty_arcs_.empty(),
-              "pending UpdateArc deltas require SolveIncremental");
   if (!finalized_) Finalize();
-  Result result;
-  if (IsDispatchStar(source, sink)) {
-    ++star_solves_;
-    result = SolveStar(source, sink, amount);
-    has_base_ = false;
-  } else {
-    ++cold_solves_;
-    // Admit negative costs once, then switch to Dijkstra on reduced costs.
-    Spfa(source);
-    result = RunSsp(source, sink, amount);
-  }
-  FinishSolve(source, sink, amount, result);
-  if constexpr (audit::kEnabled) {
-    AuditSolution(source, sink, result.max_flow, result.saturated);
-  }
-  return result;
-}
-
-TANGO_HOT MinCostMaxFlow::Result MinCostMaxFlow::SolveIncremental(
-    int source, int sink,
-                                                        FlowUnit amount) {
-  TANGO_CHECK(source != sink, "source == sink");
-  TANGO_CHECK(num_nodes_ > 0, "Reset(num_nodes) before SolveIncremental");
-  if (!finalized_) Finalize();
-  if (has_solution_ && dirty_arcs_.empty() && source == memo_source_ &&
-      sink == memo_sink_ && amount == memo_amount_) {
-    // Nothing changed since the last solve: the retained flows and
-    // potentials are the solution.
-    ++memo_hits_;
-    if constexpr (audit::kEnabled) {
-      AuditSolution(source, sink, memo_result_.max_flow,
-                    memo_result_.saturated);
-    }
-    return memo_result_;
-  }
-  ++warm_solves_;
-  RestoreCaps();
-  Result result;
-  if (IsDispatchStar(source, sink)) {
-    ++star_solves_;
-    result = SolveStar(source, sink, amount);
-    has_base_ = false;
-  } else if (has_base_ && BaseFeasible()) {
-    DijkstraRefresh(source);
-    result = RunSsp(source, sink, amount);
-  } else {
-    // Self-downgrade: a delta broke the cached basis (or none exists), so
-    // start cold — zero potentials then Bellman-Ford, exactly what a fresh
-    // solver would do.
-    if (has_base_) ++spfa_downgrades_;
-    std::fill(potential_.begin(), potential_.end(), CostUnit{0});
-    Spfa(source);
-    result = RunSsp(source, sink, amount);
-  }
-  FinishSolve(source, sink, amount, result);
+  // Admit negative costs once, then switch to Dijkstra on reduced costs.
+  Spfa(source);
+  const Result result = RunSsp(source, sink, amount);
   if constexpr (audit::kEnabled) {
     AuditSolution(source, sink, result.max_flow, result.saturated);
   }
@@ -640,9 +335,7 @@ TANGO_COLD void MinCostMaxFlow::AuditSolution(int source, int sink,
                                       "reachable in the residual graph"));
   // Cost-optimality certificate: Johnson potentials stay feasible on the
   // source-reachable residual subgraph, which certifies no negative residual
-  // cycle (the solution cost cannot be improved). Warm-started and
-  // star-kernel solves must pass this unchanged — it is the correctness
-  // oracle for the whole TangoSolve path.
+  // cycle (the solution cost cannot be improved).
   for (std::size_t l = 0; l < arc_to_.size(); ++l) {
     const FlowUnit cap = csr_cap_[Z(arc_slot_[l])];
     const int from = arc_to_[l ^ 1];

@@ -1,49 +1,25 @@
-// Min-cost max-flow solver used by DSS-LC in place of the paper's OR-Tools
-// dependency (§5.2.2).
+// Min-cost max-flow by successive shortest augmenting paths with Johnson
+// potentials: an initial Bellman-Ford (SPFA) pass admits negative edge
+// costs, after which each augmentation runs Dijkstra on reduced costs. For
+// integer MCNF instances it returns the optimum OR-Tools' SimpleMinCostFlow
+// would (the paper's §5.2.2 dependency).
 //
-// Successive shortest augmenting paths with Johnson potentials: an initial
-// Bellman-Ford pass admits negative edge costs, after which each augmentation
-// runs Dijkstra on reduced costs. For the integer MCNF instances DSS-LC
-// builds (unit "request" commodities, delay costs), this returns the same
-// optimum OR-Tools' SimpleMinCostFlow would.
+// DSS-LC does not run this solver: every graph Alg. 2 builds is a dispatch
+// star, which sched::FillStar solves directly. The solver is kept as the
+// test oracle for that greedy — the executable form of the paper's MCNF
+// formulation — and for the audit's flow certificates.
 //
-// TangoSolve (DESIGN.md §14) layers three things on top of the classic
-// solver:
-//
-//  * SoA/CSR arc storage. Arcs are described through AddArc in build order
-//    (logical id 2i forward, 2i+1 reverse) and lazily finalized into
-//    CSR-sorted structure-of-arrays (`head_[]` per-tail slot ranges over
-//    contiguous `csr_to_/csr_cap_/csr_cost_[]`), so every Dijkstra/SPFA
-//    relaxation scans cache-linear memory. The counting sort fills each
-//    tail's slots in descending logical-id order — exactly the traversal
-//    order of the old linked-arc layout — so solutions are bit-identical to
-//    the AoS solver's.
-//
-//  * A dispatch-star kernel. The G_k graphs DSS-LC builds are two-level
-//    stars (source → master → workers → sink). Solve detects that shape
-//    structurally and replaces SSP with a greedy fill in ascending
-//    (path cost, arc id) order — provably the order SSP augments such
-//    graphs in — plus closed-form potentials that satisfy the audit's
-//    reduced-cost certificate. O(n log n) instead of n Dijkstra passes.
-//
-//  * A warm-start delta API: BeginRound() / UpdateArc() / SolveIncremental()
-//    retains the previous round's graph and potentials. A round with no
-//    deltas and an unchanged query returns the memoized solution outright.
-//    Otherwise flow is reset and the cached potential basis (the previous
-//    solve's initial shortest-path distances) is checked for reduced-cost
-//    feasibility against the updated costs: if feasible, a single Dijkstra
-//    pass over reduced costs rebuilds exact distances (numerically equal to
-//    what Bellman-Ford would compute) and SSP proceeds; if not, the solver
-//    self-downgrades to the cold Bellman-Ford start. Either way the values
-//    entering SSP match a cold solve's, so warm solutions are byte-identical
-//    to cold ones — the property the DSS-LC identity benches assert.
+// Arcs are described through AddArc in build order (logical id 2i forward,
+// 2i+1 reverse) and lazily finalized into CSR-sorted structure-of-arrays
+// (`head_[]` per-tail slot ranges over contiguous `csr_to_/csr_cap_/
+// csr_cost_[]`), so every relaxation scans cache-linear memory. The counting
+// sort fills each tail's slots in descending logical id, so equal-cost ties
+// break towards the arc added first.
 //
 // Solvers are reusable: Reset(num_nodes) clears the graph while keeping every
 // internal vector's heap storage, so a solver that is Reset and refilled with
-// a same-shaped graph performs zero allocations. DSS-LC keeps one solver per
-// (service type, graph kind) and reuses it every dispatch round;
-// alloc_events() exposes how often any internal buffer actually had to grow,
-// which the perf bench uses to prove steady-state rounds allocate nothing.
+// a same-shaped graph performs zero allocations; alloc_events() counts how
+// often any internal buffer actually had to grow.
 #pragma once
 
 #include <cstdint>
@@ -94,45 +70,18 @@ class MinCostMaxFlow {
       std::numeric_limits<FlowUnit>::max() / 4;
   Result Solve(int source, int sink, FlowUnit amount = kMaxFlow);
 
-  /// Open a warm round against the current graph. Call UpdateArc for every
-  /// capacity/cost delta since the previous solve, then SolveIncremental.
-  void BeginRound();
-
-  /// Replace arc `arc_id`'s full capacity and cost in place (structure —
-  /// endpoints — is fixed). Takes effect at the next SolveIncremental,
-  /// which re-solves from zero flow under the updated caps/costs.
-  void UpdateArc(int arc_id, FlowUnit capacity, CostUnit cost);
-
-  /// Warm re-solve: byte-identical Result and per-arc flows to rebuilding
-  /// the same graph in a fresh solver and calling Solve, but reuses the
-  /// retained graph, memoized solution, and potential basis (see header
-  /// comment). Unlike Solve, always restarts from zero flow.
-  Result SolveIncremental(int source, int sink, FlowUnit amount = kMaxFlow);
-
   /// Flow pushed through arc `arc_id` by the last Solve call.
   FlowUnit Flow(int arc_id) const;
 
   /// Residual capacity of arc `arc_id`.
   FlowUnit Residual(int arc_id) const;
 
-  /// Reset all flow (keeps the graph). Also clears the warm-start state:
-  /// potentials, memo, and potential basis.
+  /// Reset all flow and potentials (keeps the graph).
   void ResetFlow();
 
   /// Times any internal vector's capacity grew (construction included).
   /// Flat across Reset/AddArc/Solve cycles ⇔ the solver is allocation-free.
   std::int64_t alloc_events() const { return alloc_events_; }
-
-  /// Warm-start observability: rounds answered straight from the memo,
-  /// warm vs cold solve counts, warm rounds that fell back to Bellman-Ford
-  /// because a delta broke potential feasibility, star-kernel solves, and
-  /// total UpdateArc deltas applied.
-  std::int64_t memo_hits() const { return memo_hits_; }
-  std::int64_t warm_solves() const { return warm_solves_; }
-  std::int64_t cold_solves() const { return cold_solves_; }
-  std::int64_t spfa_downgrades() const { return spfa_downgrades_; }
-  std::int64_t star_solves() const { return star_solves_; }
-  std::int64_t delta_updates() const { return delta_updates_; }
 
   /// Audit the last Solve's solution (§5.2): per-arc capacity respect, flow
   /// conservation at every interior node, the max-flow certificate (an
@@ -159,18 +108,13 @@ class MinCostMaxFlow {
 
  private:
   /// Build the CSR slot layout from the logical arc arrays. Within each
-  /// tail, slots hold arcs in descending logical id — the same order the
-  /// old `first_out_`/`next` linked list walked them — so downstream
-  /// tie-breaking (and therefore every solution) is unchanged.
+  /// tail, slots hold arcs in descending logical id, so relaxation order —
+  /// and with it every tie-break — is fixed by build order.
   void Finalize();
 
   /// Re-open the graph for AddArc after a Finalize (copies residual caps
   /// back to the logical arrays).
   void Definalize();
-
-  /// Set every forward slot back to its full capacity and every reverse
-  /// slot to zero, leaving potentials alone (warm-path flow reset).
-  void RestoreCaps();
 
   int TailOf(int slot) const {
     return arc_to_[static_cast<std::size_t>(csr_arc_[static_cast<std::size_t>(
@@ -182,39 +126,17 @@ class MinCostMaxFlow {
         csr_arc_[static_cast<std::size_t>(slot)] ^ 1)];
   }
 
-  /// True iff the graph is a two-level dispatch star for (source, sink):
-  /// source has a single forward arc to a hub, every hub arc fans out to a
-  /// distinct worker whose only other arc is a forward arc to the sink.
-  bool IsDispatchStar(int source, int sink) const;
-
-  /// Greedy star solve: fills chains in ascending (path cost, arc id) and
-  /// installs closed-form certificate potentials.
-  Result SolveStar(int source, int sink, FlowUnit amount);
-
   /// SPFA over positive-cap slots; sets potential_[v] to the exact shortest
   /// distance for every source-reachable v (cold start).
   void Spfa(int source);
-
-  /// True iff the cached potential basis is reduced-cost feasible for every
-  /// full-capacity forward arc under the current costs.
-  bool BaseFeasible() const;
-
-  /// Rebuild exact shortest distances from `source` with one Dijkstra pass
-  /// over costs reduced by the (feasible) cached basis; writes the same
-  /// potential values Spfa would for every reachable node.
-  void DijkstraRefresh(int source);
 
   /// One SSP augmentation step: early-exit Dijkstra to the sink on reduced
   /// costs. On success stores the path in prev_slot_ and applies the capped
   /// potential update pi[v] += min(dist[v], dist[sink]).
   bool DijkstraToSink(int source, int sink);
 
-  /// The successive-shortest-paths loop shared by cold and warm solves
-  /// (potentials must already be valid).
+  /// The successive-shortest-paths loop (potentials must already be valid).
   Result RunSsp(int source, int sink, FlowUnit amount);
-
-  /// Memoize the solve and clear the pending-delta set.
-  void FinishSolve(int source, int sink, FlowUnit amount, const Result& r);
 
   /// assign() that counts a capacity growth as an allocation event.
   template <class V, class T>
@@ -256,7 +178,6 @@ class MinCostMaxFlow {
   // buffers have grown to the working-set size. dist_/visited validity is
   // stamp-checked instead of cleared (O(touched) per Dijkstra, not O(n)).
   std::vector<CostUnit> potential_;
-  std::vector<CostUnit> base_potential_;
   std::vector<CostUnit> dist_;
   std::vector<int> prev_slot_;
   std::vector<std::uint64_t> dist_stamp_;
@@ -265,25 +186,8 @@ class MinCostMaxFlow {
   std::vector<int> spfa_queue_;
   std::vector<char> in_queue_;
   std::vector<std::pair<CostUnit, int>> heap_;
-  std::vector<std::pair<CostUnit, int>> star_order_;  // (path cost, arc id)
-
-  // Warm-start state.
-  bool has_solution_ = false;
-  bool has_base_ = false;
-  std::vector<int> dirty_arcs_;  // forward arc ids with pending deltas
-  std::vector<char> arc_dirty_;
-  int memo_source_ = -1;
-  int memo_sink_ = -1;
-  FlowUnit memo_amount_ = 0;
-  Result memo_result_;
 
   std::int64_t alloc_events_ = 0;
-  std::int64_t memo_hits_ = 0;
-  std::int64_t warm_solves_ = 0;
-  std::int64_t cold_solves_ = 0;
-  std::int64_t spfa_downgrades_ = 0;
-  std::int64_t star_solves_ = 0;
-  std::int64_t delta_updates_ = 0;
 };
 
 }  // namespace tango::flow

@@ -805,6 +805,10 @@ void EdgeCloudSystem::SyncState(SimTime now) {
   // versions keep advancing while no push happens.
   m_syncs_->Add();
   const bool delta = cfg_.fast_path;
+  // Push counters are tallied locally and added once per sync: the
+  // per-node checks below are the hottest loop of a sync.
+  std::int64_t pushes = 0;
+  std::int64_t skipped = 0;
   for (auto& cl : clusters_) {
     if (!MasterAlive(cl.spec.id)) continue;  // a dead master syncs nothing
     for (ClusterId c : cl.sync_scope) {
@@ -832,12 +836,12 @@ void EdgeCloudSystem::SyncState(SimTime now) {
                 stored != nullptr &&
                     metrics::SameContent(*stored, w->SnapshotFresh(now)));
           }
-          m_pushes_skipped_->Add();
+          ++skipped;
           continue;
         }
         cl.lc_storage.Update(w->Snapshot(now));
         cl.lc_seen[slot] = w->state_version();
-        m_pushes_->Add();
+        ++pushes;
       }
       cl.lc_storage.MarkClusterReachability(c, true);
       SimDuration rtt = topology_.Rtt(cl.spec.id, c);
@@ -872,12 +876,12 @@ void EdgeCloudSystem::SyncState(SimTime now) {
                 stored != nullptr &&
                     metrics::SameContent(*stored, w->SnapshotFresh(now)));
           }
-          m_pushes_skipped_->Add();
+          ++skipped;
           continue;
         }
         be_storage_.Update(w->Snapshot(now));
         be_seen_[slot] = w->state_version();
-        m_pushes_->Add();
+        ++pushes;
       }
       be_storage_.MarkClusterReachability(cl.spec.id, true);
       SimDuration rtt = topology_.Rtt(acting_central_, cl.spec.id);
@@ -888,6 +892,8 @@ void EdgeCloudSystem::SyncState(SimTime now) {
       be_storage_.UpdateRtt(cl.spec.id, rtt);
     }
   }
+  m_pushes_->Add(pushes);
+  m_pushes_skipped_->Add(skipped);
 }
 
 void EdgeCloudSystem::SampleMetrics(SimTime now) {

@@ -1,6 +1,10 @@
 #include "metrics/state_storage.h"
 
+#include <algorithm>
+
 #include "audit/audit.h"
+#include "common/logging.h"
+#include "common/vet.h"
 
 namespace tango::metrics {
 
@@ -17,55 +21,77 @@ bool SameContent(const NodeSnapshot& a, const NodeSnapshot& b) {
 }
 
 void StateStorage::Update(const NodeSnapshot& snap) {
-  auto it = nodes_.find(snap.node);
-  if (it == nodes_.end()) {
-    ++inserts_;
-    it = nodes_.emplace(snap.node, snap).first;
-  } else if (it->second.recorded_at <= snap.recorded_at) {
-    it->second = snap;
+  TANGO_CHECK(snap.node.valid(), "snapshot without a node id");
+  const auto id = static_cast<std::size_t>(snap.node.value);
+  NodeSnapshot* stored = nullptr;
+  if (id < slot_.size() && slot_[id] >= 0) {
+    stored = &nodes_[static_cast<std::size_t>(slot_[id])];
+    if (stored->recorded_at > snap.recorded_at) return;
+    *stored = snap;
   } else {
-    return;
+    stored = &Insert(snap);
   }
   // Keep freshly pushed snapshots consistent with the last reachability mark
   // (the sweep in MarkClusterReachability only runs on flips).
-  auto r = cluster_reachable_.find(it->second.cluster);
-  if (r != cluster_reachable_.end()) it->second.reachable = r->second;
+  const auto c = static_cast<std::size_t>(stored->cluster.value);
+  if (stored->cluster.valid() && c < reach_mark_.size() &&
+      reach_mark_[c] != kUnmarked) {
+    stored->reachable = reach_mark_[c] != 0;
+  }
+}
+
+TANGO_COLD NodeSnapshot& StateStorage::Insert(const NodeSnapshot& snap) {
+  ++inserts_;
+  const auto id = static_cast<std::size_t>(snap.node.value);
+  if (id >= slot_.size()) slot_.resize(id + 1, -1);
+  const auto pos = static_cast<std::size_t>(
+      std::lower_bound(nodes_.begin(), nodes_.end(), snap.node,
+                       [](const NodeSnapshot& s, NodeId n) {
+                         return s.node < n;
+                       }) -
+      nodes_.begin());
+  nodes_.insert(nodes_.begin() + static_cast<std::ptrdiff_t>(pos), snap);
+  // Every snapshot from `pos` on moved one slot up (only the new one when
+  // ids arrive in ascending order, as they do from a sync sweep).
+  for (std::size_t i = pos; i < nodes_.size(); ++i) {
+    slot_[static_cast<std::size_t>(nodes_[i].node.value)] =
+        static_cast<std::int32_t>(i);
+  }
+  return nodes_[pos];
 }
 
 void StateStorage::MarkClusterReachability(ClusterId cluster,
                                            bool reachable) {
-  auto it = cluster_reachable_.find(cluster);
-  if (it != cluster_reachable_.end() && it->second == reachable) return;
-  cluster_reachable_[cluster] = reachable;
-  for (auto& [id, snap] : nodes_) {
+  TANGO_CHECK(cluster.valid(), "reachability mark without a cluster id");
+  const auto c = static_cast<std::size_t>(cluster.value);
+  const std::int8_t mark = reachable ? 1 : 0;
+  if (c < reach_mark_.size() && reach_mark_[c] == mark) return;
+  if (c >= reach_mark_.size()) reach_mark_.resize(c + 1, kUnmarked);
+  reach_mark_[c] = mark;
+  for (auto& snap : nodes_) {
     if (snap.cluster == cluster) snap.reachable = reachable;
   }
 }
 
-const NodeSnapshot* StateStorage::Find(NodeId node) const {
-  auto it = nodes_.find(node);
-  return it == nodes_.end() ? nullptr : &it->second;
+void StateStorage::UpdateRtt(ClusterId to, SimDuration rtt) {
+  TANGO_CHECK(to.valid(), "RTT without a cluster id");
+  const auto c = static_cast<std::size_t>(to.value);
+  if (c >= rtt_.size()) rtt_.resize(c + 1);
+  rtt_[c] = rtt;
 }
 
-std::vector<NodeSnapshot> StateStorage::All() const {
-  std::vector<NodeSnapshot> out;
-  out.reserve(nodes_.size());
-  for (const auto& [id, snap] : nodes_) out.push_back(snap);
-  return out;
+const NodeSnapshot* StateStorage::Find(NodeId node) const {
+  const auto id = static_cast<std::size_t>(node.value);
+  if (!node.valid() || id >= slot_.size() || slot_[id] < 0) return nullptr;
+  return &nodes_[static_cast<std::size_t>(slot_[id])];
 }
 
 std::vector<NodeSnapshot> StateStorage::ForCluster(ClusterId cluster) const {
   std::vector<NodeSnapshot> out;
-  for (const auto& [id, snap] : nodes_) {
+  for (const auto& snap : nodes_) {
     if (snap.cluster == cluster) out.push_back(snap);
   }
   return out;
-}
-
-std::optional<SimDuration> StateStorage::Rtt(ClusterId to) const {
-  auto it = rtt_.find(to);
-  if (it == rtt_.end()) return std::nullopt;
-  return it->second;
 }
 
 }  // namespace tango::metrics

@@ -5,7 +5,7 @@
 // modeled faithfully.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -61,15 +61,24 @@ struct NodeSnapshot {
 bool SameContent(const NodeSnapshot& a, const NodeSnapshot& b);
 
 /// Per-master view of the (geo-nearby or global) system state.
+///
+/// Flat layout: snapshots live in one NodeId-ordered array with a dense
+/// NodeId → slot index, so Update/Find of a known node are O(1) and All()
+/// is a view of the array itself. RTTs and reachability marks are dense
+/// per-ClusterId arrays. Only the first Update of a node (or an RTT/mark for
+/// a cluster id beyond every one seen so far) grows storage.
 class StateStorage {
  public:
-  /// Upsert a node snapshot (newer timestamps replace older ones).
+  /// Upsert a node snapshot (newer timestamps replace older ones). The
+  /// node id must be valid.
   void Update(const NodeSnapshot& snap);
 
+  /// The stored snapshot of `node`, or nullptr (also for invalid ids).
   const NodeSnapshot* Find(NodeId node) const;
 
   /// All snapshots, in NodeId order (deterministic iteration for solvers).
-  std::vector<NodeSnapshot> All() const;
+  /// A view of the storage: valid until the next Update or Clear.
+  const std::vector<NodeSnapshot>& All() const { return nodes_; }
 
   /// Snapshots restricted to one cluster.
   std::vector<NodeSnapshot> ForCluster(ClusterId cluster) const;
@@ -78,18 +87,25 @@ class StateStorage {
   /// the viewing master's failure detector marking a partition (snapshots
   /// are preserved so the view heals instantly when the link does). The
   /// per-snapshot sweep only runs when the flag actually flips, so calling
-  /// this every sync period costs O(1) in steady state.
+  /// this every sync period costs O(1) in steady state. Snapshots inserted
+  /// later pick up the cluster's last mark.
   void MarkClusterReachability(ClusterId cluster, bool reachable);
 
   /// Record the measured RTT from this master's cluster to another cluster.
-  void UpdateRtt(ClusterId to, SimDuration rtt) { rtt_[to] = rtt; }
-  std::optional<SimDuration> Rtt(ClusterId to) const;
+  void UpdateRtt(ClusterId to, SimDuration rtt);
+  /// The last recorded RTT to `to`; nullopt if none (also for invalid ids).
+  std::optional<SimDuration> Rtt(ClusterId to) const {
+    const auto c = static_cast<std::size_t>(to.value);
+    if (!to.valid() || c >= rtt_.size()) return std::nullopt;
+    return rtt_[c];
+  }
 
   std::size_t size() const { return nodes_.size(); }
   void Clear() {
     nodes_.clear();
+    slot_.clear();
     rtt_.clear();
-    cluster_reachable_.clear();
+    reach_mark_.clear();
   }
 
   /// Number of Update() calls that created a new entry (an allocation) —
@@ -97,9 +113,15 @@ class StateStorage {
   std::int64_t inserts() const { return inserts_; }
 
  private:
-  std::map<NodeId, NodeSnapshot> nodes_;
-  std::map<ClusterId, SimDuration> rtt_;
-  std::map<ClusterId, bool> cluster_reachable_;  // last marked flag
+  static constexpr std::int8_t kUnmarked = -1;
+
+  /// Insert a snapshot of a node not stored yet, keeping NodeId order.
+  NodeSnapshot& Insert(const NodeSnapshot& snap);
+
+  std::vector<NodeSnapshot> nodes_;  // ascending NodeId
+  std::vector<std::int32_t> slot_;   // NodeId value -> index in nodes_, -1
+  std::vector<std::optional<SimDuration>> rtt_;  // by ClusterId value
+  std::vector<std::int8_t> reach_mark_;  // by ClusterId value: -1, 0 or 1
   std::int64_t inserts_ = 0;
 };
 

@@ -1,47 +1,39 @@
 // DSS-LC: Distributed Service request Scheduling for LC requests (§5.2,
 // Algorithm 2).
 //
-// Per dispatch round and per request type k, the scheduler builds a
-// min-cost-flow instance G_k over the master (supply = pending requests) and
-// the reachable workers (capacity t_i^k from Eq. 2, edge cost = one-way
-// delay) and routes every request at minimum total transmission delay.
+// Per dispatch round and per request type k, Alg. 2 states a min-cost-flow
+// instance G_k over the master (supply = pending requests) and the reachable
+// workers (capacity t_i^k from Eq. 2, edge cost = one-way delay plus the
+// estimated queueing delay) and routes every request at minimum total delay.
 // When demand exceeds capacity (Σ t_i^k > 0), requests are split by the
-// sorting policy ρ into an immediate set R_k (scheduled on G_k as above) and
-// a queued set R'_k scheduled on Ĝ'_k, whose capacities come from *total*
-// node resources scaled by the augmentation factor λ (Eqs. 7–8) so the
-// backlog spreads proportionally to heterogeneous node sizes.
+// sorting policy ρ into an immediate set R_k (routed on G_k as above) and a
+// queued set R'_k routed on Ĝ'_k, whose capacities come from *total* node
+// resources scaled by the augmentation factor λ (Eqs. 7–8) so the backlog
+// spreads proportionally to heterogeneous node sizes.
 //
-// Parallel scheduling core: Alg. 2 treats the per-type graphs G_k as
-// independent, so Schedule() fans the types out over a fixed-size thread
-// pool (DssLcConfig::num_threads). Determinism contract:
-//   * every type draws from its own RNG stream derived from (seed, service
-//     id, round index) — never from a shared stream;
-//   * every type sees the identical round-start view (snapshots + the
-//     dispatcher's commitments as of the top of the round);
-//   * results are merged in ascending service-id order.
-// Under a fixed seed the emitted assignments are therefore byte-identical
-// whatever num_threads is — serial mode is just the pool-free special case.
+// Greedy star dispatch (DESIGN.md §9): every G_k and Ĝ'_k is a star
+// source → master → workers → sink, and the min-cost flow of a star is a
+// greedy fill in ascending (path cost, worker index) order. FillStar does
+// exactly that, with no graph; plain successive-shortest-paths
+// flow::MinCostMaxFlow stays as its test oracle.
 //
-// TangoSolve warm start (DESIGN.md §14): each (service type, graph kind ∈
-// {immediate G_k, overflow Ĝ'_k}) pair owns a MinCostMaxFlow that stays
-// warm across rounds. At round start the worker capacity/cost view is
-// diffed against what the solver was last built with; unchanged rounds hit
-// the solver's memo, changed rounds route UpdateArc deltas in and
-// SolveIncremental re-solves warm — byte-identical to a cold rebuild
-// (DssLcConfig::warm_start = false forces the cold path for comparison).
-// A type is only ever solved by the thread that claimed it, so the warm
-// state preserves the serial/parallel identity contract, and steady-state
-// rounds perform zero flow-graph allocations (see solver_pool_stats()).
+// Round contract:
+//   * types are routed in ascending service id, each on its own RNG stream
+//     derived from (seed, service id, round index);
+//   * every type sees the identical round-start view (snapshots plus the
+//     dispatcher's commitments as of the top of the round); the round's own
+//     commitments are applied after the last type;
+//   * the round works in scheduler-owned scratch, so a steady-state round
+//     allocates only the assignment vector Schedule returns.
 #pragma once
 
-#include <atomic>
-#include <map>
-#include <memory>
+#include <array>
+#include <chrono>
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
-#include "common/rng.h"
-#include "common/thread_pool.h"
-#include "flow/mcmf.h"
 #include "k8s/scheduling_api.h"
 #include "scope/metrics.h"
 
@@ -58,21 +50,44 @@ struct DssLcConfig {
   std::int64_t edge_capacity = 4096;
   SplitPolicy split_policy = SplitPolicy::kRandom;
   std::uint64_t seed = 97;
-  /// Concurrency of the per-type G_k fan-out: 1 = serial (no pool),
-  /// 0 = one slot per hardware thread, N > 1 = N slots (N-1 pool threads
-  /// plus the scheduling thread). Assignments are identical for any value.
-  int num_threads = 1;
-  /// Record a wall-clock profile of each round's phases (snapshot filter,
-  /// graph build / delta build, MCMF solve, merge, commit) into the
-  /// scheduler's metric registry. Off by default: the extra steady_clock
-  /// reads sit on the per-type hot path.
+  /// Record a wall-clock profile of each round's phases (round-start view,
+  /// capacity view, split ordering, greedy fill, assignment/commit) into
+  /// the scheduler's metric registry as "sched.phase.*_us", µs per round.
+  /// Off by default: the extra steady_clock reads sit on the per-type path.
   bool profile_phases = false;
-  /// Keep per-type solvers warm across rounds and route capacity/cost
-  /// deltas into them (SolveIncremental) instead of rebuilding each G_k
-  /// from scratch. Assignments are byte-identical either way; false forces
-  /// the cold rebuild path (used by the warm_vs_cold bench comparison).
-  bool warm_start = true;
 };
+
+/// One filled worker of a star dispatch.
+struct StarFill {
+  std::int32_t worker = 0;  ///< index into the cost/cap arrays
+  std::int64_t count = 0;   ///< units routed to it
+};
+
+/// (path cost, worker index): the order FillStar fills workers in.
+using StarKey = std::pair<std::int64_t, std::int32_t>;
+
+/// Exact min-cost dispatch of up to `amount` units over the star
+/// source → master → workers → sink in which worker i's chain costs
+/// cost[i], its master→worker arc carries min(cap[i], edge_capacity) and its
+/// worker→sink arc cap[i] (caps ≥ 0). Fills workers in ascending
+/// (cost, index) order, each taking min(remaining, edge_capacity, cap[i]) —
+/// the order successive shortest paths augments a star in, so the
+/// per-worker counts are SSP's. Replaces `fills` with the filled workers in
+/// fill order and returns the units routed. `heap` is caller-owned scratch.
+/// TANGO_AUDIT builds certify the result with AuditStarFill.
+std::int64_t FillStar(std::span<const std::int64_t> cost,
+                      std::span<const std::int64_t> cap, std::int64_t amount,
+                      std::int64_t edge_capacity, std::vector<StarKey>& heap,
+                      std::vector<StarFill>& fills);
+
+/// FillStar's certificate: the counts sum to min(amount, Σ usable cap), no
+/// worker gets more than min(cap, edge_capacity), and no worker with spare
+/// capacity precedes a filled one in (cost, index) order. Compiles to
+/// nothing unless TANGO_AUDIT is on.
+void AuditStarFill(std::span<const std::int64_t> cost,
+                   std::span<const std::int64_t> cap, std::int64_t amount,
+                   std::int64_t edge_capacity,
+                   std::span<const StarFill> fills);
 
 class DssLcScheduler : public k8s::LcScheduler {
  public:
@@ -97,144 +112,128 @@ class DssLcScheduler : public k8s::LcScheduler {
   /// Total requests routed through the overflow graph Ĝ'_k so far.
   std::int64_t overflow_routed() const { return overflow_routed_; }
 
-  /// Solver slots actually used for the G_k fan-out (1 = serial).
-  int concurrency() const {
-    return pool_ != nullptr ? pool_->concurrency() : 1;
+  /// The CPU (millicores) / memory (MiB) this dispatcher has committed to
+  /// `node` and not yet decayed; exactly 0 once the decay evicted it.
+  double committed_cpu(NodeId node) const {
+    return CommitmentOf(committed_cpu_, node);
   }
-
-  /// Reuse statistics of the per-(type, graph) MinCostMaxFlow pool. A flat
-  /// `alloc_events` across rounds proves steady-state rounds build their
-  /// flow graphs without touching the heap; the warm-start counters expose
-  /// how rounds were actually answered (memo / warm delta / cold rebuild).
-  struct SolverPoolStats {
-    int solvers = 0;                // solver instances instantiated
-    std::int64_t solves = 0;        // flow instances solved so far
-    std::int64_t alloc_events = 0;  // Σ solver alloc_events()
-    std::int64_t memo_hits = 0;     // rounds answered from the memo
-    std::int64_t warm_solves = 0;   // warm (delta) re-solves
-    std::int64_t cold_solves = 0;   // cold generic solves
-    std::int64_t star_solves = 0;   // dispatch-star kernel solves
-    std::int64_t spfa_downgrades = 0;  // warm rounds that fell back cold
-    std::int64_t delta_updates = 0;    // Σ UpdateArc deltas routed in
-  };
-  SolverPoolStats solver_pool_stats() const;
-
-  /// Entries currently held in the per-node commitment maps (bounded by
-  /// the epsilon decay eviction; exposed for tests).
-  std::size_t committed_entries() const {
-    return committed_cpu_.size() + committed_mem_.size();
+  double committed_mem(NodeId node) const {
+    return CommitmentOf(committed_mem_, node);
   }
 
   /// Per-scheduler metric registry: "sched.rounds"/"sched.assigned"/
-  /// "sched.overflow" counters plus, when DssLcConfig::profile_phases is
-  /// set, the "sched.phase.*_us" wall-clock histograms of each round phase.
+  /// "sched.overflow" counters, the "sched.round_us" histogram and, when
+  /// DssLcConfig::profile_phases is set, the "sched.phase.*_us" histograms
+  /// (one µs sample per round and phase).
   scope::MetricRegistry& metrics() { return metrics_; }
   const scope::MetricRegistry& metrics() const { return metrics_; }
 
  private:
-  struct WorkerCap {
+  /// Round-start view of one usable worker: the type-independent inputs of
+  /// Eq. 2 / Eq. 7 and of the edge cost.
+  struct WorkerView {
     NodeId node;
-    std::int64_t capacity;        // |t_i^k| for available resources
-    std::int64_t total_capacity;  // with total resources (for Ĝ'_k)
-    std::int64_t cost;            // one-way delay µs
+    Millicores cpu_for_lc = 0;  // §4.1 LC view minus our commitment
+    MiB mem_for_lc = 0;
+    Millicores cpu_total = 0;
+    MiB mem_total = 0;
+    int queued = 0;              // requests queued at the node
+    double committed_cpu = 0.0;  // our not-yet-visible CPU commitment
+    SimDuration half_rtt = 0;    // one-way transmission delay
   };
 
-  /// Per-node resource commitments one scheduled type adds, merged into
-  /// committed_cpu_/committed_mem_ after the fan-out joins.
+  /// One type's per-node commitment, applied after the round's last type.
   struct NodeCommit {
     NodeId node;
-    double cpu;
-    double mem;
+    double cpu = 0.0;
+    double mem = 0.0;
   };
 
-  /// Everything one type's G_k solve produced; merged in service-id order
-  /// so the output is independent of worker interleaving.
-  struct TypeOutcome {
-    std::vector<k8s::Assignment> assignments;
-    std::vector<NodeCommit> commits;
-    double lambda = 0.0;
-    bool overloaded = false;
-    std::int64_t overflow = 0;
-  };
+  enum Phase { kSnapshot, kCapacity, kSplit, kFill, kCommit, kNumPhases };
 
-  /// One warm flow graph: the solver retains the previous round's G_k and
-  /// the prev_* arrays hold the values it was last built with, so the next
-  /// round's view diffs into an UpdateArc delta list. Arc ids are fixed by
-  /// construction order: 0 = source→master, 1+2i = master→worker i,
-  /// 2+2i = worker i→sink.
-  struct WarmGraph {
-    flow::MinCostMaxFlow solver;
-    bool built = false;
-    std::vector<NodeId> nodes;  // worker identity the graph was built for
-    std::vector<std::int64_t> prev_edge_cap;   // master→worker capacity
-    std::vector<std::int64_t> prev_edge_cost;  // master→worker cost
-    std::vector<std::int64_t> prev_sink_cap;   // worker→sink capacity
-    std::int64_t prev_amount = -1;
-  };
-  /// Warm graphs for one service type: the immediate G_k and the λ-scaled
-  /// overflow Ĝ'_k. Only the thread that claimed the type touches it.
-  struct TypeSolvers {
-    WarmGraph immediate;
-    WarmGraph overflow;
-  };
+  static double CommitmentOf(const std::vector<double>& v, NodeId node) {
+    const auto i = static_cast<std::size_t>(node.value);
+    return node.valid() && i < v.size() ? v[i] : 0.0;
+  }
 
-  /// Solve one type's graph(s) against the round-start state view using the
-  /// type's warm solvers. Pure w.r.t. scheduler state except for `ts` and
-  /// the atomic solve counter.
-  TypeOutcome ScheduleType(ServiceId svc,
-                           const std::vector<const k8s::PendingRequest*>& reqs,
-                           const std::vector<metrics::NodeSnapshot>& snapshots,
-                           const metrics::StateStorage& storage, SimTime now,
-                           std::uint64_t round, TypeSolvers& ts);
+  /// Multiply every commitment by the decay since the last round and evict
+  /// (zero) the ones below the epsilon.
+  void DecayCommitments(SimTime now);
 
-  /// Route `amount` requests across workers via min-cost flow on the warm
-  /// graph `g` (delta path when the worker set matches what `g` was built
-  /// for, cold rebuild otherwise); returns per-worker counts aligned with
-  /// `workers`.
-  std::vector<std::int64_t> Route(WarmGraph& g,
-                                  const std::vector<WorkerCap>& workers,
-                                  std::int64_t amount, bool use_total,
-                                  double lambda);
+  /// Liveness filter plus the round-start WorkerView of every usable
+  /// worker; sizes the per-worker scratch.
+  void BuildView(const metrics::StateStorage& storage,
+                 k8s::LcRoundStats& round);
+
+  /// Route one type's requests: capacity view, ρ ordering, greedy fill of
+  /// G_k (and Ĝ'_k on overload), assignments appended to `out` and the
+  /// type's commitments queued in round_commits_.
+  void DispatchType(ServiceId svc,
+                    const std::vector<const k8s::PendingRequest*>& requests,
+                    std::uint64_t round, std::vector<k8s::Assignment>& out);
+
+  /// Append one fill's assignments, worker by worker in `fills` order,
+  /// taking requests from ordered_[first] on.
+  void Emit(const std::vector<StarFill>& fills, std::size_t first,
+            std::vector<k8s::Assignment>& out) const;
+
+  /// TANGO_AUDIT post-round sweep: every target survived the liveness
+  /// filter and no request is dispatched twice.
+  void AuditRound(const std::vector<k8s::Assignment>& out,
+                  std::size_t queued, SimTime now);
+
+  /// Close the phase that ran since the previous lap (profile_phases only).
+  void Lap(Phase phase);
 
   const workload::ServiceCatalog* catalog_;
   DssLcConfig cfg_;
-  /// Created when cfg_.num_threads != 1; absent in serial mode.
-  std::unique_ptr<ThreadPool> pool_;
-  /// Warm solver pair per service type ever scheduled. Entries are created
-  /// serially at round start; pool threads only dereference their own
-  /// type's pointer, so the map itself is never mutated concurrently.
-  std::map<ServiceId, std::unique_ptr<TypeSolvers>> type_solvers_;
-  std::atomic<std::int64_t> solves_{0};  // Route calls (pool threads write)
   double decision_seconds_ = 0.0;
   std::int64_t decisions_ = 0;
   double last_lambda_ = 0.0;
   std::int64_t overflow_routed_ = 0;
   k8s::LcRoundStats last_round_;
   k8s::LcRoundStats total_round_;
-  /// CPU/memory the dispatcher has committed per node since the last
-  /// state-storage refresh (decays with the sync period): without it, every
-  /// dispatch round between refreshes re-routes onto the same stale
-  /// capacity. Entries decayed below an epsilon are erased so the maps stay
-  /// bounded by the recently-used node set instead of every node ever seen.
-  std::map<NodeId, double> committed_cpu_;
-  std::map<NodeId, double> committed_mem_;
+
+  /// CPU/memory the dispatcher has committed per node (indexed by NodeId
+  /// value) since the last state-storage refresh, decaying with the sync
+  /// period: without it, every dispatch round between refreshes re-routes
+  /// onto the same stale capacity. 0.0 means no commitment.
+  std::vector<double> committed_cpu_;
+  std::vector<double> committed_mem_;
+  /// NodeId values with a nonzero commitment (any order): the decay walks
+  /// only these.
+  std::vector<std::int32_t> committed_live_;
   SimTime last_decay_ = 0;
 
+  // Round scratch, owned here so steady-state rounds reuse its capacity.
+  /// Queued requests by service id; walked in ascending id.
+  std::vector<std::vector<const k8s::PendingRequest*>> buckets_;
+  std::vector<WorkerView> view_;
+  std::vector<std::int64_t> cap_;        // |t_i^k| on available resources
+  std::vector<std::int64_t> total_cap_;  // on total resources (Ĝ'_k)
+  std::vector<std::int64_t> ovf_cap_;    // ⌈total · λ⌉
+  std::vector<std::int64_t> cost_;       // one-way delay + queueing, µs
+  std::vector<const k8s::PendingRequest*> ordered_;  // ρ order
+  std::vector<StarKey> heap_;
+  std::vector<StarFill> fills_;      // G_k
+  std::vector<StarFill> ovf_fills_;  // Ĝ'_k
+  std::vector<NodeCommit> round_commits_;
+  std::vector<std::int32_t> audit_ids_;  // TANGO_AUDIT sweep only
+  double round_lambda_ = 0.0;
+  bool round_overloaded_ = false;
+  std::int64_t round_overflow_ = 0;
+
+  std::array<double, kNumPhases> phase_us_{};
+  std::chrono::steady_clock::time_point phase_mark_;
+
   /// TangoScope metrics (registered once in the constructor; pointers are
-  /// stable for the registry's lifetime). Histogram::Observe is a relaxed
-  /// atomic add, so the pool threads write h_graph_build_/h_solve_ without
-  /// extra synchronisation.
+  /// stable for the registry's lifetime).
   scope::MetricRegistry metrics_;
   scope::Counter* m_rounds_ = nullptr;
   scope::Counter* m_assigned_ = nullptr;
   scope::Counter* m_overflow_ = nullptr;
   scope::Histogram* h_round_ = nullptr;
-  scope::Histogram* h_snapshot_ = nullptr;
-  scope::Histogram* h_graph_build_ = nullptr;
-  scope::Histogram* h_delta_build_ = nullptr;
-  scope::Histogram* h_solve_ = nullptr;
-  scope::Histogram* h_merge_ = nullptr;
-  scope::Histogram* h_commit_ = nullptr;
+  std::array<scope::Histogram*, kNumPhases> h_phase_{};
 };
 
 }  // namespace tango::sched

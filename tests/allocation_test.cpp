@@ -1,21 +1,25 @@
 // Tests for the allocation policies: native K8s (fixed container limits),
 // HRM (§4.1 regulations), and the CERES baseline — plus the memory-
-// allocation discipline of the storm generators (zero steady-state
-// allocations, the repo's alloc_events pattern at process scope).
+// allocation discipline of the hot paths under a process-wide counting
+// operator new: the storm generators, a steady-state DSS-LC round and the
+// state storage's sync/read path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 
+#include "common/rng.h"
 #include "hrm/regulations.h"
 #include "k8s/allocation.h"
+#include "metrics/state_storage.h"
 #include "sched/ceres.h"
+#include "sched/dss_lc.h"
 #include "storm/scenario.h"
 #include "storm/source.h"
 
 // TU-global counting operator new: this binary's strongest-scope version of
-// the alloc_events counter pattern (flow::McmfSolver, sim::Simulator).
+// the alloc_events counter pattern (flow::MinCostMaxFlow, sim::Simulator).
 // Every heap allocation in the process bumps the counter, so a snapshot
 // taken around a hot loop proves the loop allocation-free.
 static std::int64_t g_alloc_events = 0;
@@ -356,6 +360,97 @@ TEST(StormAllocation, NextRequestIsAllocationFreeAcrossFamilies) {
     EXPECT_EQ(pulled, 2000) << storm::ScenarioKindName(kind);
     EXPECT_TRUE(ordered) << storm::ScenarioKindName(kind);
   }
+}
+
+// --------------------------------------------- DSS-LC round and storage --
+
+metrics::StateStorage DssStorage() {
+  metrics::StateStorage st;
+  Rng rng(23);
+  for (int i = 0; i < 48; ++i) {
+    metrics::NodeSnapshot s;
+    s.node = NodeId{i + 1};
+    s.cluster = ClusterId{i % 4};
+    s.cpu_total = 8000;
+    s.cpu_available = rng.UniformInt(0, 8000);
+    s.mem_total = 16384;
+    s.mem_available = rng.UniformInt(1024, 16384);
+    s.queued = static_cast<int>(rng.UniformInt(0, 8));
+    st.Update(s);
+  }
+  for (int c = 0; c < 4; ++c) {
+    st.UpdateRtt(ClusterId{c}, rng.UniformInt(1, 40) * kMillisecond);
+  }
+  return st;
+}
+
+std::vector<k8s::PendingRequest> LcQueue(int count) {
+  std::vector<k8s::PendingRequest> q;
+  for (int i = 0; i < count; ++i) {
+    k8s::PendingRequest p;
+    p.request.id = RequestId{i};
+    p.request.service = ServiceId{i % 5};  // the five LC types
+    p.request.arrival = (i % 7) * kMillisecond;
+    q.push_back(p);
+  }
+  return q;
+}
+
+TEST(DssLcAllocation, SteadyStateRoundAllocatesOnlyItsResult) {
+  // A light round routes on G_k alone; a heavy one overloads every type
+  // and routes the backlog through Ĝ'_k. Once warm-up rounds have sized
+  // the scheduler's scratch, either kind of round allocates exactly once:
+  // the assignment vector Schedule returns.
+  const ServiceCatalog cat = ServiceCatalog::Standard();
+  const metrics::StateStorage st = DssStorage();
+  const auto light = LcQueue(12);
+  const auto heavy = LcQueue(3000);
+  for (const auto policy : {sched::SplitPolicy::kRandom,
+                            sched::SplitPolicy::kFifo,
+                            sched::SplitPolicy::kDeadline}) {
+    for (const auto* q : {&light, &heavy}) {
+      sched::DssLcConfig cfg;
+      cfg.split_policy = policy;
+      sched::DssLcScheduler dss(&cat, cfg);
+      SimTime now = 0;
+      for (int r = 0; r < 4; ++r) {
+        dss.Schedule(ClusterId{0}, *q, st, now += 20 * kMillisecond);
+      }
+      for (int r = 0; r < 3; ++r) {
+        const std::int64_t overflow = dss.overflow_routed();
+        now += 20 * kMillisecond;
+        const std::int64_t before = g_alloc_events;
+        const auto out = dss.Schedule(ClusterId{0}, *q, st, now);
+        const std::int64_t during = g_alloc_events - before;
+        EXPECT_EQ(during, 1) << sched::SplitPolicyName(policy) << " queue "
+                             << q->size();
+        EXPECT_FALSE(out.empty());
+        EXPECT_EQ(dss.overflow_routed() > overflow, q == &heavy)
+            << sched::SplitPolicyName(policy) << " queue " << q->size();
+      }
+    }
+  }
+}
+
+TEST(StateStorageAllocation, KnownNodeUpdatesAndReadsAllocateNothing) {
+  metrics::StateStorage st = DssStorage();
+  st.MarkClusterReachability(ClusterId{1}, false);
+  metrics::NodeSnapshot s = *st.Find(NodeId{17});
+  const std::int64_t before = g_alloc_events;
+  std::size_t seen = 0;
+  SimDuration rtt_sum = 0;
+  for (int i = 1; i <= 2000; ++i) {
+    s.recorded_at = i;
+    s.queued = i % 9;
+    st.Update(s);
+    seen += st.Find(NodeId{1 + i % 48}) != nullptr ? 1 : 0;
+    rtt_sum += st.Rtt(ClusterId{i % 4}).value_or(0);
+    seen += st.All().size();
+  }
+  EXPECT_EQ(g_alloc_events - before, 0);
+  EXPECT_EQ(seen, 2000u * 49);
+  EXPECT_GT(rtt_sum, 0);
+  EXPECT_EQ(st.Find(NodeId{17})->queued, 2000 % 9);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "cgroup/cgroup.h"
 #include "flow/mcmf.h"
 #include "sched/cluster_policy.h"
+#include "sched/dss_lc.h"
 #include "sim/simulator.h"
 
 namespace tango {
@@ -44,6 +45,9 @@ TEST(AuditDisabled, CheckersAreInert) {
   const sched::WorkerIndex index(workers, be);
   workers[0].used = 5;  // stale index
   index.Audit(workers, be, 0);
+  const std::vector<std::int64_t> cost = {1, 2}, cap = {2, 2};
+  const std::vector<sched::StarFill> skipped_cheaper = {{1, 2}};
+  sched::AuditStarFill(cost, cap, 2, 4096, skipped_cheaper);
   EXPECT_EQ(audit::checks_run(), 0);
 }
 
@@ -245,6 +249,38 @@ TEST(AuditCore, FlowSolveSelfAuditsClean) {
 }
 
 // --- simulator event heap ------------------------------------------------
+
+// FillStar's certificate (the greedy dispatch DSS-LC runs on every G_k and
+// Ĝ'_k): each seeded fill breaks exactly one clause.
+const std::vector<std::int64_t> kStarCost = {1, 2, 3};
+const std::vector<std::int64_t> kStarCap = {2, 2, 2};
+
+TEST(AuditDeathTest, StarFillSkipsACheaperWorker) {
+  // Worker 2 filled while cheaper worker 1 keeps spare capacity.
+  const std::vector<sched::StarFill> fills = {{0, 2}, {2, 1}};
+  EXPECT_DEATH(sched::AuditStarFill(kStarCost, kStarCap, 3, 4096, fills),
+               "AUDIT VIOLATION.*sched\\.star_fill_order");
+}
+
+TEST(AuditDeathTest, StarFillRoutesTooLittle) {
+  const std::vector<sched::StarFill> fills = {{0, 2}};
+  EXPECT_DEATH(sched::AuditStarFill(kStarCost, kStarCap, 3, 4096, fills),
+               "AUDIT VIOLATION.*sched\\.star_fill_total");
+}
+
+TEST(AuditDeathTest, StarFillExceedsEdgeCapacity) {
+  const std::vector<sched::StarFill> fills = {{0, 2}, {1, 1}};
+  EXPECT_DEATH(sched::AuditStarFill(kStarCost, kStarCap, 3, 1, fills),
+               "AUDIT VIOLATION.*sched\\.star_fill_bound");
+}
+
+TEST(AuditCore, StarFillSelfAuditsClean) {
+  std::vector<sched::StarKey> heap;
+  std::vector<sched::StarFill> fills;
+  const std::int64_t before = audit::checks_run();
+  EXPECT_EQ(sched::FillStar(kStarCost, kStarCap, 5, 4096, heap, fills), 5);
+  EXPECT_GT(audit::checks_run(), before);
+}
 
 TEST(AuditDeathTest, HeapCorruptionCaught) {
   sim::Simulator sim;

@@ -1,9 +1,15 @@
-// Tests for DSS-LC (Algorithm 2): graph construction, the capacity and
-// overload cases, the augmentation factor λ (Eq. 8), and edge capacities.
+// Tests for DSS-LC (Algorithm 2): the capacity and overload cases, the
+// augmentation factor λ (Eq. 8), edge capacities, output pins over
+// multi-round drives, and the greedy star fill against the min-cost-flow
+// oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <map>
 
+#include "flow/mcmf.h"
 #include "sched/dss_lc.h"
 
 namespace tango::sched {
@@ -218,9 +224,225 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, SplitPolicyTest,
                                SplitPolicyName(param_info.param));
                          });
 
-// ---- Parallel scheduling core ---------------------------------------------
+// ---- Output pins ----------------------------------------------------------
+//
+// FNV-1a digests of everything DSS-LC emits over multi-round drives: every
+// assignment (request, target) in order, then last_lambda() and
+// overflow_routed() after each round. Recorded with the graph-based
+// min-cost-flow dispatch; the greedy star fill must reproduce them bit for
+// bit. The drive mixes five LC types over 24 heterogeneous workers in four
+// clusters, drifts node load between rounds, overloads some rounds (Ĝ'_k),
+// and leaves a 6 s gap so every commitment decays below the eviction
+// epsilon before the last rounds.
 
-class ParallelDssFixture : public DssFixture {
+std::uint64_t Fnv(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::uint64_t PinDigest(const ServiceCatalog& catalog, const DssLcConfig& cfg,
+                        bool exclusions) {
+  DssLcScheduler dss(&catalog, cfg);
+  StateStorage st;
+  Rng rng(cfg.seed + 17);
+  constexpr int kNodes = 24;
+  std::vector<NodeSnapshot> nodes;
+  for (int i = 0; i < kNodes; ++i) {
+    NodeSnapshot s;
+    s.node = NodeId{i + 1};
+    s.cluster = ClusterId{i % 4};
+    s.cpu_total = 2000 * rng.UniformInt(1, 4);
+    s.mem_total = 4096 * rng.UniformInt(1, 4);
+    s.cpu_available = rng.UniformInt(0, s.cpu_total);
+    s.mem_available = rng.UniformInt(0, s.mem_total);
+    if (i % 5 == 0) {  // BE-preemptible headroom (§4.1 LC view)
+      s.cpu_available_lc = std::min(s.cpu_total, s.cpu_available + 1000);
+    }
+    s.queued = static_cast<int>(rng.UniformInt(0, 6));
+    nodes.push_back(s);
+    st.Update(s);
+  }
+  NodeSnapshot master;
+  master.node = NodeId{100};
+  master.cluster = ClusterId{0};
+  master.is_master = true;
+  master.cpu_total = master.cpu_available = 8000;
+  master.mem_total = master.mem_available = 16384;
+  st.Update(master);
+  for (int c = 0; c < 4; ++c) {
+    st.UpdateRtt(ClusterId{c}, rng.UniformInt(1, 40) * kMillisecond);
+  }
+  if (exclusions) {
+    nodes[3].alive = false;
+    nodes[8].draining = true;
+    st.Update(nodes[3]);
+    st.Update(nodes[8]);
+    st.MarkClusterReachability(ClusterId{2}, false);
+  }
+
+  const int depths[] = {6, 2, 300, 40, 3, 900, 1, 120, 5, 2, 600, 8};
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  SimTime now = 0;
+  int next_id = 0;
+  for (int round = 0; round < 12; ++round) {
+    now += round == 8 ? 6 * kSecond : 40 * kMillisecond;
+    // Drift a few nodes' load between rounds.
+    for (int k = 0; k < 4; ++k) {
+      auto& s = nodes[static_cast<std::size_t>(rng.UniformInt(0, kNodes - 1))];
+      s.cpu_available = rng.UniformInt(0, s.cpu_total);
+      s.mem_available = rng.UniformInt(0, s.mem_total);
+      s.queued = static_cast<int>(rng.UniformInt(0, 6));
+      s.recorded_at = now;
+      st.Update(s);
+    }
+    std::vector<PendingRequest> q;
+    for (int i = 0; i < depths[round]; ++i) {
+      PendingRequest p;
+      p.request.id = RequestId{next_id++};
+      p.request.service = ServiceId{static_cast<std::int32_t>(
+          rng.UniformInt(0, 4))};
+      p.request.origin = ClusterId{0};
+      p.request.arrival = now - rng.UniformInt(0, 50) * kMillisecond;
+      q.push_back(p);
+    }
+    h = Fnv(h, static_cast<std::uint64_t>(round));
+    for (const auto& a : dss.Schedule(ClusterId{0}, q, st, now)) {
+      h = Fnv(h, static_cast<std::uint64_t>(a.request.value));
+      h = Fnv(h, static_cast<std::uint64_t>(a.target.value));
+    }
+    h = Fnv(h, std::bit_cast<std::uint64_t>(dss.last_lambda()));
+    h = Fnv(h, static_cast<std::uint64_t>(dss.overflow_routed()));
+  }
+  EXPECT_GT(dss.overflow_routed(), 0) << "the drive never reached Ĝ'_k";
+  return h;
+}
+
+TEST_F(DssFixture, PinnedOutputAcrossSplitPolicies) {
+  const std::pair<SplitPolicy, std::uint64_t> pins[] = {
+      {SplitPolicy::kRandom, 0xd4d2aa4a76a351d0ULL},
+      // One target per type, so deadline order is arrival order.
+      {SplitPolicy::kFifo, 0x56c96cfc35bab1f0ULL},
+      {SplitPolicy::kDeadline, 0x56c96cfc35bab1f0ULL},
+  };
+  for (const auto& [policy, want] : pins) {
+    DssLcConfig cfg;
+    cfg.split_policy = policy;
+    const std::uint64_t got = PinDigest(catalog, cfg, /*exclusions=*/false);
+    EXPECT_EQ(got, want) << SplitPolicyName(policy) << " digest 0x"
+                         << std::hex << got;
+  }
+}
+
+TEST_F(DssFixture, PinnedOutputWithBindingEdgeCapacity) {
+  DssLcConfig cfg;
+  cfg.edge_capacity = 2;
+  cfg.seed = 5;
+  const std::uint64_t got = PinDigest(catalog, cfg, /*exclusions=*/false);
+  EXPECT_EQ(got, 0x7c8b4d448d6e6094ULL) << "digest 0x" << std::hex << got;
+}
+
+TEST_F(DssFixture, PinnedOutputWithExclusions) {
+  // A dead node, a draining node, an unreachable cluster and a master
+  // snapshot, all of which the round must skip.
+  DssLcConfig cfg;
+  cfg.seed = 11;
+  cfg.split_policy = SplitPolicy::kDeadline;
+  const std::uint64_t got = PinDigest(catalog, cfg, /*exclusions=*/true);
+  EXPECT_EQ(got, 0x52a748438645b2b2ULL) << "digest 0x" << std::hex << got;
+}
+
+// ---- Greedy star fill vs the successive-shortest-paths oracle -------------
+
+/// Per-worker counts of the min-cost flow on the star DSS-LC states: node 0
+/// source, 1 master, 2..n+1 workers, n+2 sink; master → worker i carries
+/// min(cap, edge_capacity) at cost[i], worker i → sink carries cap.
+std::vector<std::int64_t> SspCounts(const std::vector<std::int64_t>& cost,
+                                    const std::vector<std::int64_t>& cap,
+                                    std::int64_t amount,
+                                    std::int64_t edge_capacity) {
+  const int n = static_cast<int>(cap.size());
+  flow::MinCostMaxFlow mcmf(n + 3);
+  mcmf.AddArc(0, 1, amount, 0);
+  for (int i = 0; i < n; ++i) {
+    const auto zi = static_cast<std::size_t>(i);
+    mcmf.AddArc(1, 2 + i, std::min(cap[zi], edge_capacity), cost[zi]);
+    mcmf.AddArc(2 + i, n + 2, cap[zi], 0);
+  }
+  mcmf.Solve(0, n + 2, amount);
+  std::vector<std::int64_t> counts(cap.size(), 0);
+  for (int i = 0; i < n; ++i) {
+    counts[static_cast<std::size_t>(i)] = mcmf.Flow(1 + 2 * i);
+  }
+  return counts;
+}
+
+TEST(GreedyStarFill, MatchesSuccessiveShortestPathsOracle) {
+  // Costs drawn from a narrow range force equal-cost ties; caps include
+  // zeros; edge capacities from 1 bind; a third of the trials use Ĝ'_k's
+  // λ-scaled caps ⌈total · λ⌉. Counts must equal SSP's per worker.
+  Rng rng(4099);
+  std::vector<StarKey> heap;
+  std::vector<StarFill> fills;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.UniformInt(1, 12));
+    std::vector<std::int64_t> cost(n), cap(n);
+    std::int64_t sum_cap = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      cost[i] = rng.UniformInt(0, 4) * 1000 + rng.UniformInt(0, 1);
+      cap[i] = rng.UniformInt(0, 3) == 0 ? 0 : rng.UniformInt(1, 9);
+      sum_cap += cap[i];
+    }
+    std::int64_t amount = rng.UniformInt(0, sum_cap + 4);
+    if (trial % 3 == 0) {
+      std::int64_t sum_total = 0;
+      std::vector<std::int64_t> total(n);
+      for (auto& t : total) sum_total += (t = rng.UniformInt(0, 40));
+      amount = rng.UniformInt(1, 60);
+      const double lambda =
+          sum_total > 0 ? static_cast<double>(amount) / sum_total : 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        cap[i] = static_cast<std::int64_t>(
+            std::ceil(static_cast<double>(total[i]) * lambda));
+      }
+    }
+    const std::int64_t edge =
+        rng.UniformInt(0, 2) == 0 ? rng.UniformInt(1, 4) : 4096;
+    const auto want = SspCounts(cost, cap, amount, edge);
+    const std::int64_t routed = FillStar(cost, cap, amount, edge, heap, fills);
+    std::vector<std::int64_t> got(n, 0);
+    for (const auto& f : fills) got[static_cast<std::size_t>(f.worker)] += f.count;
+    ASSERT_EQ(got, want) << "trial " << trial;
+    std::int64_t want_routed = 0;
+    for (const auto c : want) want_routed += c;
+    EXPECT_EQ(routed, want_routed) << "trial " << trial;
+  }
+}
+
+TEST(GreedyStarFill, FillsInCostThenIndexOrder) {
+  std::vector<StarKey> heap;
+  std::vector<StarFill> fills;
+  const std::vector<std::int64_t> cost = {5, 1, 5, 1, 0};
+  const std::vector<std::int64_t> cap = {4, 2, 4, 0, 3};
+  EXPECT_EQ(FillStar(cost, cap, 8, /*edge_capacity=*/3, heap, fills), 8);
+  // Worker 4 (cost 0, capped at 3 by the edge), worker 1 (cost 1; worker 3
+  // has no capacity), then worker 0 before worker 2 on the cost-5 tie.
+  ASSERT_EQ(fills.size(), 3u);
+  EXPECT_EQ(fills[0].worker, 4);
+  EXPECT_EQ(fills[0].count, 3);
+  EXPECT_EQ(fills[1].worker, 1);
+  EXPECT_EQ(fills[1].count, 2);
+  EXPECT_EQ(fills[2].worker, 0);
+  EXPECT_EQ(fills[2].count, 3);
+  // Asking for more than the usable capacity routes what fits.
+  EXPECT_EQ(FillStar(cost, cap, 100, 3, heap, fills), 3 + 2 + 3 + 3);
+}
+
+// ---- Multi-round drives ----------------------------------------------------
+
+class DssDriveFixture : public DssFixture {
  protected:
   /// Mixed-type queue: several LC types, staggered arrivals, enough load to
   /// trigger the overload split on the smaller storages.
@@ -247,129 +469,30 @@ class ParallelDssFixture : public DssFixture {
     }
     return st;
   }
-
-  static void ExpectSameAssignments(const std::vector<Assignment>& a,
-                                    const std::vector<Assignment>& b) {
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].request.value, b[i].request.value) << "index " << i;
-      EXPECT_EQ(a[i].target.value, b[i].target.value) << "index " << i;
-    }
-  }
 };
 
-TEST_F(ParallelDssFixture, ParallelIsByteIdenticalToSerial) {
-  // The determinism contract: per-type RNG streams + round-start state view
-  // + sorted merge ⇒ identical output for any thread count, across seeds,
-  // split policies, and multiple rounds (overloaded and not).
-  for (const std::uint64_t seed : {1ull, 97ull, 4242ull}) {
-    for (const auto policy :
-         {SplitPolicy::kRandom, SplitPolicy::kFifo, SplitPolicy::kDeadline}) {
-      DssLcConfig serial_cfg;
-      serial_cfg.seed = seed;
-      serial_cfg.split_policy = policy;
-      serial_cfg.num_threads = 1;
-      DssLcConfig parallel_cfg = serial_cfg;
-      parallel_cfg.num_threads = 4;
-      DssLcScheduler serial(&catalog, serial_cfg);
-      DssLcScheduler parallel(&catalog, parallel_cfg);
-      EXPECT_EQ(serial.concurrency(), 1);
-      EXPECT_EQ(parallel.concurrency(), 4);
-
-      StateStorage st = MakeStorage(12, seed + 1);
-      for (int round = 0; round < 4; ++round) {
-        const SimTime now = round * 100 * kMillisecond;
-        const auto q = MixedQueue(round % 2 == 0 ? 60 : 400, now);
-        const auto a = serial.Schedule(ClusterId{0}, q, st, now);
-        const auto b = parallel.Schedule(ClusterId{0}, q, st, now);
-        ExpectSameAssignments(a, b);
-      }
-      EXPECT_EQ(serial.overflow_routed(), parallel.overflow_routed());
-      EXPECT_DOUBLE_EQ(serial.last_lambda(), parallel.last_lambda());
-    }
-  }
-}
-
-TEST_F(ParallelDssFixture, AutoThreadCountAlsoMatchesSerial) {
-  DssLcConfig serial_cfg;
-  serial_cfg.num_threads = 1;
-  DssLcConfig auto_cfg;
-  auto_cfg.num_threads = 0;  // hardware concurrency
-  DssLcScheduler serial(&catalog, serial_cfg);
-  DssLcScheduler parallel(&catalog, auto_cfg);
-  EXPECT_GE(parallel.concurrency(), 2);
-  StateStorage st = MakeStorage(8, 5);
-  const auto q = MixedQueue(120, 0);
-  ExpectSameAssignments(serial.Schedule(ClusterId{0}, q, st, 0),
-                        parallel.Schedule(ClusterId{0}, q, st, 0));
-}
-
-TEST_F(ParallelDssFixture, SteadyStateRoundsAllocateNoGraphStorage) {
-  DssLcConfig cfg;
-  cfg.num_threads = 4;
-  DssLcScheduler dss(&catalog, cfg);
-  StateStorage st = MakeStorage(16, 11);
-  // Warm-up rounds grow each type's warm solver pair to its working set.
-  for (int round = 0; round < 3; ++round) {
-    dss.Schedule(ClusterId{0}, MixedQueue(200, round * 100 * kMillisecond),
-                 st, round * 100 * kMillisecond);
-  }
-  const auto warm = dss.solver_pool_stats();
-  EXPECT_EQ(warm.solvers, 2 * 5);  // immediate + overflow per LC type
-  EXPECT_GT(warm.solves, 0);
-  for (int round = 3; round < 10; ++round) {
-    dss.Schedule(ClusterId{0}, MixedQueue(200, round * 100 * kMillisecond),
-                 st, round * 100 * kMillisecond);
-  }
-  const auto steady = dss.solver_pool_stats();
-  EXPECT_GT(steady.solves, warm.solves);
-  EXPECT_EQ(steady.alloc_events, warm.alloc_events)
-      << "steady-state rounds must reuse solver storage, not allocate";
-}
-
-TEST_F(ParallelDssFixture, WarmStartMatchesColdRebuildAcrossDriftingRounds) {
-  // TangoSolve correctness bar: the warm delta path must emit byte-identical
-  // assignments to a from-scratch rebuild every round, while the load, the
-  // commitments, and hence every graph's capacities drift between rounds.
-  DssLcConfig warm_cfg;
-  warm_cfg.warm_start = true;
-  DssLcConfig cold_cfg;
-  cold_cfg.warm_start = false;
-  DssLcScheduler warm(&catalog, warm_cfg);
-  DssLcScheduler cold(&catalog, cold_cfg);
-  StateStorage st = MakeStorage(12, 29);
-  for (int round = 0; round < 12; ++round) {
-    const SimTime now = round * 100 * kMillisecond;
-    // Oscillating queue depth exercises both the underload single-graph
-    // case and the overload split, plus amount-only deltas.
-    const int depth = (round % 3 == 0) ? 500 : 40 + 15 * round;
-    const auto q = MixedQueue(depth, now);
-    const auto a = warm.Schedule(ClusterId{0}, q, st, now);
-    const auto b = cold.Schedule(ClusterId{0}, q, st, now);
-    ExpectSameAssignments(a, b);
-  }
-  EXPECT_EQ(warm.overflow_routed(), cold.overflow_routed());
-  EXPECT_DOUBLE_EQ(warm.last_lambda(), cold.last_lambda());
-  // The warm scheduler must actually have taken the warm path: after the
-  // first round every Route call diffs into an existing graph.
-  const auto ws = warm.solver_pool_stats();
-  EXPECT_GT(ws.memo_hits + ws.warm_solves, 0)
-      << "warm_start=true never exercised the incremental path";
-  const auto cs = cold.solver_pool_stats();
-  EXPECT_EQ(cs.memo_hits, 0);
-  EXPECT_EQ(cs.warm_solves, 0);
-  EXPECT_EQ(cs.delta_updates, 0);
-}
-
-TEST_F(ParallelDssFixture, CommittedMapsAreBoundedByDecayEviction) {
+TEST_F(DssDriveFixture, DecayedCommitmentsReadExactlyZero) {
   DssLcScheduler dss(&catalog);
   StateStorage st = MakeStorage(10, 3);
-  dss.Schedule(ClusterId{0}, MixedQueue(50, 0), st, 0);
-  EXPECT_GT(dss.committed_entries(), 0u);
+  const auto as = dss.Schedule(ClusterId{0}, MixedQueue(50, 0), st, 0);
+  ASSERT_FALSE(as.empty());
+  const NodeId used = as.front().target;
+  EXPECT_GT(dss.committed_cpu(used), 0.0);
+  EXPECT_GT(dss.committed_mem(used), 0.0);
+  // One half-life halves a commitment exactly.
+  const double cpu = dss.committed_cpu(used);
+  dss.Schedule(ClusterId{0}, {}, st, 125 * kMillisecond);
+  EXPECT_EQ(dss.committed_cpu(used), cpu / 2);
   // ~80 half-lives later every commitment is far below the epsilon; the
-  // decay pass must erase the entries, not keep scaling them forever.
+  // decay must evict it to exactly 0, not keep scaling it forever.
   dss.Schedule(ClusterId{0}, {}, st, 10 * kSecond);
-  EXPECT_EQ(dss.committed_entries(), 0u);
+  for (int node = 1; node <= 10; ++node) {
+    EXPECT_EQ(dss.committed_cpu(NodeId{node}), 0.0) << "node " << node;
+    EXPECT_EQ(dss.committed_mem(NodeId{node}), 0.0) << "node " << node;
+  }
+  // Nodes never committed to (or unknown ids) read 0 as well.
+  EXPECT_EQ(dss.committed_cpu(NodeId{}), 0.0);
+  EXPECT_EQ(dss.committed_mem(NodeId{999}), 0.0);
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// Unit + property tests for the min-cost max-flow solver (DSS-LC's engine).
+// Unit + property tests for the min-cost max-flow solver (the successive-
+// shortest-paths oracle DSS-LC's greedy star dispatch is checked against).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -329,217 +330,6 @@ TEST(McmfReuse, RandomGraphsMatchFreshSolverAfterReuse) {
     EXPECT_EQ(r1.max_flow, r2.max_flow) << "trial " << trial;
     EXPECT_EQ(r1.total_cost, r2.total_cost) << "trial " << trial;
   }
-}
-
-// ---- TangoSolve warm start (BeginRound / UpdateArc / SolveIncremental) ----
-
-/// One arc as the tests track it; mirrors what UpdateArc mutates.
-struct ArcSpec {
-  int from, to;
-  FlowUnit cap;
-  CostUnit cost;
-};
-
-/// Cold reference: a fresh solver built from the current arc state.
-MinCostMaxFlow::Result ColdSolve(int n, const std::vector<ArcSpec>& arcs,
-                                 int src, int snk, FlowUnit amount,
-                                 std::vector<FlowUnit>* flows) {
-  MinCostMaxFlow fresh(n);
-  for (const auto& a : arcs) fresh.AddArc(a.from, a.to, a.cap, a.cost);
-  const auto r = fresh.Solve(src, snk, amount);
-  flows->clear();
-  for (std::size_t i = 0; i < arcs.size(); ++i) {
-    flows->push_back(fresh.Flow(static_cast<int>(i)));
-  }
-  return r;
-}
-
-TEST(McmfWarm, RandomizedDifferentialDeltaRounds) {
-  // The correctness bar for the incremental mode: across thousands of
-  // delta-mutated graphs, SolveIncremental must match a cold solver built
-  // from scratch on max flow, total cost, AND every per-arc flow value.
-  Rng rng(4242);
-  for (int trial = 0; trial < 200; ++trial) {
-    const int n = 4 + static_cast<int>(rng.UniformInt(0, 6));
-    std::vector<ArcSpec> arcs;
-    for (int e = 0; e < 3 * n; ++e) {
-      const auto u = static_cast<int>(rng.UniformInt(0, n - 1));
-      const auto v = static_cast<int>(rng.UniformInt(0, n - 1));
-      if (u == v) continue;
-      arcs.push_back({u, v, rng.UniformInt(0, 5), rng.UniformInt(0, 9)});
-    }
-    if (arcs.empty()) continue;
-    MinCostMaxFlow warm(n);
-    for (const auto& a : arcs) warm.AddArc(a.from, a.to, a.cap, a.cost);
-    const FlowUnit amount = rng.UniformInt(1, 12);
-    warm.Solve(0, n - 1, amount);  // round 0: cold build
-
-    std::vector<FlowUnit> cold_flows;
-    for (int round = 1; round <= 10; ++round) {
-      // Mutate a random subset of arcs (capacity and/or cost).
-      warm.BeginRound();
-      const auto mutations = rng.UniformInt(0, 4);
-      for (std::int64_t m = 0; m < mutations; ++m) {
-        const auto i = static_cast<std::size_t>(
-            rng.UniformInt(0, static_cast<std::int64_t>(arcs.size()) - 1));
-        arcs[i].cap = rng.UniformInt(0, 5);
-        arcs[i].cost = rng.UniformInt(0, 9);
-        warm.UpdateArc(static_cast<int>(i), arcs[i].cap, arcs[i].cost);
-      }
-      const auto rw = warm.SolveIncremental(0, n - 1, amount);
-      const auto rc = ColdSolve(n, arcs, 0, n - 1, amount, &cold_flows);
-      ASSERT_EQ(rw.max_flow, rc.max_flow) << "trial " << trial << " round "
-                                          << round;
-      ASSERT_EQ(rw.total_cost, rc.total_cost)
-          << "trial " << trial << " round " << round;
-      ASSERT_EQ(rw.saturated, rc.saturated)
-          << "trial " << trial << " round " << round;
-      for (std::size_t i = 0; i < arcs.size(); ++i) {
-        ASSERT_EQ(warm.Flow(static_cast<int>(i)), cold_flows[i])
-            << "arc " << i << " trial " << trial << " round " << round;
-      }
-    }
-  }
-}
-
-TEST(McmfWarm, DispatchStarDeltaRoundsMatchColdExactly) {
-  // The DSS-LC graph shape (source → master → workers → sink) hits the
-  // dispatch-star kernel on both the cold and warm paths; delta rounds must
-  // still be byte-identical to a cold rebuild.
-  Rng rng(555);
-  for (int trial = 0; trial < 100; ++trial) {
-    const int workers = 2 + static_cast<int>(rng.UniformInt(0, 6));
-    const int src = 0, master = 1, snk = workers + 2;
-    std::vector<ArcSpec> arcs;
-    FlowUnit amount = rng.UniformInt(1, 30);
-    arcs.push_back({src, master, amount, 0});
-    for (int w = 0; w < workers; ++w) {
-      const FlowUnit cap = rng.UniformInt(0, 6);
-      arcs.push_back({master, 2 + w, cap, rng.UniformInt(0, 50)});
-      arcs.push_back({2 + w, snk, cap, 0});
-    }
-    MinCostMaxFlow warm(workers + 3);
-    for (const auto& a : arcs) warm.AddArc(a.from, a.to, a.cap, a.cost);
-    warm.Solve(src, snk, amount);
-    EXPECT_GT(warm.star_solves(), 0) << "star shape not detected";
-
-    std::vector<FlowUnit> cold_flows;
-    for (int round = 1; round <= 8; ++round) {
-      warm.BeginRound();
-      amount = rng.UniformInt(1, 30);
-      arcs[0].cap = amount;
-      warm.UpdateArc(0, amount, 0);
-      for (int w = 0; w < workers; ++w) {
-        if (rng.UniformInt(0, 2) != 0) continue;
-        const FlowUnit cap = rng.UniformInt(0, 6);
-        const CostUnit cost = rng.UniformInt(0, 50);
-        arcs[static_cast<std::size_t>(1 + 2 * w)] = {master, 2 + w, cap,
-                                                     cost};
-        arcs[static_cast<std::size_t>(2 + 2 * w)] = {2 + w, snk, cap, 0};
-        warm.UpdateArc(1 + 2 * w, cap, cost);
-        warm.UpdateArc(2 + 2 * w, cap, 0);
-      }
-      const auto rw = warm.SolveIncremental(src, snk, amount);
-      const auto rc =
-          ColdSolve(workers + 3, arcs, src, snk, amount, &cold_flows);
-      ASSERT_EQ(rw.max_flow, rc.max_flow) << "trial " << trial;
-      ASSERT_EQ(rw.total_cost, rc.total_cost) << "trial " << trial;
-      for (std::size_t i = 0; i < arcs.size(); ++i) {
-        ASSERT_EQ(warm.Flow(static_cast<int>(i)), cold_flows[i])
-            << "arc " << i << " trial " << trial << " round " << round;
-      }
-    }
-  }
-}
-
-TEST(McmfWarm, UnchangedRoundHitsTheMemo) {
-  MinCostMaxFlow g(4);
-  BuildAndSolve(g, 1, 10, 4);
-  EXPECT_EQ(g.memo_hits(), 0);
-  // Same query, zero deltas: answered from the memo without re-solving.
-  g.BeginRound();
-  const auto r = g.SolveIncremental(0, 3, 4);
-  EXPECT_EQ(g.memo_hits(), 1);
-  EXPECT_EQ(r.max_flow, 4);
-  EXPECT_EQ(r.total_cost, 3 * 1 + 1 * 10);
-  // A delta (even a no-op value change routed through UpdateArc) or a
-  // different query must bypass the memo.
-  g.BeginRound();
-  const auto r2 = g.SolveIncremental(0, 3, 3);
-  EXPECT_EQ(g.memo_hits(), 1);
-  EXPECT_EQ(r2.max_flow, 3);
-}
-
-TEST(McmfWarm, InfeasiblePotentialBasisDowngradesToColdSolve) {
-  // A cost decrease can make the retained potential basis violate reduced-
-  // cost feasibility; the warm path must detect that and self-downgrade to
-  // the cold SPFA pipeline — still returning the cold answer.
-  MinCostMaxFlow g(3);
-  g.AddArc(0, 1, 5, 2);   // arc 0
-  g.AddArc(1, 2, 5, 2);   // arc 1
-  g.AddArc(0, 2, 5, 50);  // arc 2: expensive shortcut
-  g.Solve(0, 2, 8);
-  EXPECT_EQ(g.spfa_downgrades(), 0);
-
-  // Dropping the shortcut's cost below the learned potential difference
-  // (π(2) − π(0) = 4 after the first solve) breaks feasibility.
-  g.BeginRound();
-  g.UpdateArc(2, 5, -10);
-  const auto r = g.SolveIncremental(0, 2, 8);
-  EXPECT_EQ(g.spfa_downgrades(), 1);
-
-  std::vector<FlowUnit> cold_flows;
-  const auto rc = ColdSolve(
-      3, {{0, 1, 5, 2}, {1, 2, 5, 2}, {0, 2, 5, -10}}, 0, 2, 8, &cold_flows);
-  EXPECT_EQ(r.max_flow, rc.max_flow);
-  EXPECT_EQ(r.total_cost, rc.total_cost);
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(g.Flow(i), cold_flows[i]);
-}
-
-TEST(McmfWarm, DeltaRoundsAllocateNothingSteadyState) {
-  // Warm rounds must not touch the heap: after the first solve finalizes
-  // the CSR arrays, every BeginRound/UpdateArc/SolveIncremental cycle runs
-  // in retained storage.
-  Rng rng(99);
-  MinCostMaxFlow g(6);
-  std::vector<ArcSpec> arcs;
-  for (int e = 0; e < 14; ++e) {
-    const auto u = static_cast<int>(rng.UniformInt(0, 5));
-    const auto v = static_cast<int>(rng.UniformInt(0, 5));
-    if (u == v) continue;
-    arcs.push_back({u, v, rng.UniformInt(1, 5), rng.UniformInt(0, 9)});
-  }
-  MinCostMaxFlow warm(6);
-  for (const auto& a : arcs) warm.AddArc(a.from, a.to, a.cap, a.cost);
-  warm.Solve(0, 5, 10);
-  const auto baseline = warm.alloc_events();
-  for (int round = 0; round < 50; ++round) {
-    warm.BeginRound();
-    const auto i = static_cast<std::size_t>(
-        rng.UniformInt(0, static_cast<std::int64_t>(arcs.size()) - 1));
-    warm.UpdateArc(static_cast<int>(i), rng.UniformInt(0, 5),
-                   rng.UniformInt(0, 9));
-    warm.SolveIncremental(0, 5, 10);
-  }
-  EXPECT_EQ(warm.alloc_events(), baseline)
-      << "incremental rounds must reuse solver storage, not allocate";
-}
-
-TEST(McmfWarm, CountersClassifyEveryIncrementalRound) {
-  MinCostMaxFlow g(3);
-  g.AddArc(0, 1, 4, 1);
-  g.AddArc(1, 2, 4, 1);
-  g.Solve(0, 2, 4);
-  EXPECT_EQ(g.cold_solves(), 1);
-  g.BeginRound();
-  g.UpdateArc(0, 3, 1);
-  g.SolveIncremental(0, 2, 4);
-  EXPECT_EQ(g.warm_solves(), 1);
-  EXPECT_EQ(g.delta_updates(), 1);
-  g.BeginRound();
-  g.SolveIncremental(0, 2, 4);
-  EXPECT_EQ(g.memo_hits(), 1);
-  EXPECT_EQ(g.warm_solves() + g.cold_solves() + g.memo_hits(), 3);
 }
 
 }  // namespace

@@ -199,5 +199,98 @@ TEST(StateStorage, ClearEmptiesEverything) {
   EXPECT_EQ(st.Find(NodeId{1}), nullptr);
 }
 
+TEST(StateStorage, OutOfOrderInsertsKeepNodeIdOrderAndIndex) {
+  // Inserts arriving below, between and above stored ids shift the flat
+  // array; Find must still resolve every id through the slot index.
+  StateStorage st;
+  for (const int id : {40, 7, 23, 3, 41, 8, 1}) {
+    auto s = Snap(id, id % 3, 0);
+    s.cpu_available = 100 * id;
+    st.Update(s);
+  }
+  ASSERT_EQ(st.size(), 7u);
+  const std::vector<int> want = {1, 3, 7, 8, 23, 40, 41};
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(st.All()[i].node, NodeId{want[i]});
+    const NodeSnapshot* found = st.Find(NodeId{want[i]});
+    ASSERT_NE(found, nullptr) << want[i];
+    EXPECT_EQ(found->cpu_available, 100 * want[i]);
+  }
+  EXPECT_EQ(st.Find(NodeId{2}), nullptr);
+  EXPECT_EQ(st.Find(NodeId{1000}), nullptr);
+  EXPECT_EQ(st.inserts(), 7);
+  // Updating a known node is not an insert and keeps its slot.
+  st.Update(Snap(23, 2, 5));
+  EXPECT_EQ(st.inserts(), 7);
+  EXPECT_EQ(st.All()[4].recorded_at, 5);
+}
+
+TEST(StateStorage, ReachabilityMarkAppliesToLaterInserts) {
+  StateStorage st;
+  st.Update(Snap(1, 0, 0));
+  st.MarkClusterReachability(ClusterId{2}, false);
+  // A snapshot of the cut cluster pushed after the mark arrives flagged,
+  // even though it was pushed as reachable.
+  st.Update(Snap(5, 2, 0));
+  EXPECT_FALSE(st.Find(NodeId{5})->reachable);
+  EXPECT_TRUE(st.Find(NodeId{1})->reachable);
+  // A newer push of a marked cluster keeps the mark too.
+  st.Update(Snap(5, 2, 10));
+  EXPECT_FALSE(st.Find(NodeId{5})->reachable);
+  // Healing flips every stored snapshot of the cluster back.
+  st.MarkClusterReachability(ClusterId{2}, true);
+  EXPECT_TRUE(st.Find(NodeId{5})->reachable);
+}
+
+TEST(StateStorage, UnsetRttBetweenSetOnesIsAbsent) {
+  StateStorage st;
+  st.UpdateRtt(ClusterId{4}, 3 * kMillisecond);
+  EXPECT_FALSE(st.Rtt(ClusterId{0}).has_value());
+  EXPECT_FALSE(st.Rtt(ClusterId{3}).has_value());
+  EXPECT_FALSE(st.Rtt(ClusterId{5}).has_value());
+  ASSERT_TRUE(st.Rtt(ClusterId{4}).has_value());
+  EXPECT_EQ(*st.Rtt(ClusterId{4}), 3 * kMillisecond);
+  st.UpdateRtt(ClusterId{0}, 0);  // a zero RTT is a set RTT
+  ASSERT_TRUE(st.Rtt(ClusterId{0}).has_value());
+  EXPECT_EQ(*st.Rtt(ClusterId{0}), 0);
+}
+
+TEST(StateStorage, InvalidIdsReadAsAbsent) {
+  StateStorage st;
+  st.Update(Snap(0, 0, 0));
+  st.UpdateRtt(ClusterId{0}, kMillisecond);
+  EXPECT_EQ(st.Find(NodeId{}), nullptr);
+  EXPECT_EQ(st.Find(NodeId{-1}), nullptr);
+  EXPECT_FALSE(st.Rtt(ClusterId{}).has_value());
+  // A snapshot whose cluster is unset is stored; no mark applies to it.
+  auto orphan = Snap(3, 0, 0);
+  orphan.cluster = ClusterId{};
+  st.Update(orphan);
+  st.MarkClusterReachability(ClusterId{0}, false);
+  EXPECT_TRUE(st.Find(NodeId{3})->reachable);
+  EXPECT_FALSE(st.Find(NodeId{0})->reachable);
+}
+
+TEST(StateStorageDeathTest, UpdateWithoutNodeIdAborts) {
+  StateStorage st;
+  EXPECT_DEATH(st.Update(NodeSnapshot{}), "snapshot without a node id");
+}
+
+TEST(StateStorage, ClearDropsMarksAndSlots) {
+  StateStorage st;
+  st.Update(Snap(9, 1, 0));
+  st.UpdateRtt(ClusterId{1}, kMillisecond);
+  st.MarkClusterReachability(ClusterId{1}, false);
+  st.Clear();
+  EXPECT_EQ(st.size(), 0u);
+  EXPECT_TRUE(st.All().empty());
+  EXPECT_EQ(st.Find(NodeId{9}), nullptr);
+  EXPECT_FALSE(st.Rtt(ClusterId{1}).has_value());
+  // The cleared mark no longer applies; re-inserting works from scratch.
+  st.Update(Snap(9, 1, 0));
+  EXPECT_TRUE(st.Find(NodeId{9})->reachable);
+  EXPECT_EQ(st.size(), 1u);
+}
+
 }  // namespace
 }  // namespace tango::metrics

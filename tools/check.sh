@@ -2,8 +2,8 @@
 # Build and test the project under several configs: a plain RelWithDebInfo
 # configure, an ASan+UBSan configure (-DTANGO_SANITIZE=ON), a TSan
 # configure (-DTANGO_TSAN=ON) that runs only the concurrency-touching tests
-# (thread pool, parallel DSS-LC, MCMF reuse, harness fan-out, TangoScope
-# emission), a TangoAudit configure (-DTANGO_AUDIT=ON) that runs the full
+# (thread pool, MCMF reuse, harness fan-out, TangoScope emission, sharded
+# engine), a TangoAudit configure (-DTANGO_AUDIT=ON) that runs the full
 # suite with every runtime invariant checker live, and a TangoScope
 # configure (-DTANGO_SCOPE=ON) that runs the full suite plus a traced
 # chaos_demo whose exported Chrome trace must parse as JSON, and a
@@ -88,7 +88,7 @@ if [[ "$what" == "all" || "$what" == "tsan" ]]; then
   # threaded paths; the plain/sanitize configs already cover the rest.
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
   run_config tsan "$repo_root/build-tsan" \
-    -R 'ThreadPool|ParallelDss|DssLc|McmfReuse|Harness|Experiment|Scope|Shard|Mailbox' \
+    -R 'ThreadPool|DssLc|McmfReuse|Harness|Experiment|Scope|Shard|Mailbox' \
     -DTANGO_TSAN=ON -DTANGO_SCOPE=ON
   # The sharded engine's epoch fan-out under TSan: the mailbox exchange and
   # the per-shard slabs are the only cross-thread surfaces, and the smoke
@@ -101,10 +101,9 @@ if [[ "$what" == "all" || "$what" == "audit" ]]; then
   # Full suite with every AUDIT_CHECK live: any invariant violation aborts
   # the offending test with a structured report.
   run_config audit "$repo_root/build-audit" -DTANGO_AUDIT=ON -DTANGO_WERROR=ON
-  # TangoSolve smoke: warm == cold assignment identity, zero steady-state
-  # MCMF allocations and warm-path coverage with the reduced-cost audit
-  # certificates live on every warm solution. Run from the build dir so the
-  # smoke run never touches a committed BENCH_*.json.
+  # DSS-LC smoke: one allocation per steady-state round with the greedy
+  # star fill's audit certificate live on every G_k / Ĝ'_k fill. Run from
+  # the build dir so the smoke run never touches a committed BENCH_*.json.
   echo "== [audit] perf_sched --smoke =="
   (cd "$repo_root/build-audit" && bench/perf_sched --smoke)
 fi

@@ -5,7 +5,9 @@ Stdlib-only (the container has no third-party Python packages) and
 degrades gracefully when optional external tools are missing:
 
   hot-path        no node-based std:: containers (map/set/list/unordered_*)
-                  in the allocation-free hot paths (src/sim, src/flow).
+                  in the allocation-free hot paths (src/sim, src/flow, the
+                  DSS-LC round in src/sched/dss_lc.* and the state storage
+                  in src/metrics/state_storage.*).
   raw-new         no raw `new`/`delete` outside the event pool's SBO
                   callback; annotate deliberate uses with
                   `// tango-lint: allow(raw-new)`.
@@ -60,9 +62,11 @@ import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# Directories whose code runs on the simulator's per-event hot path: the
-# steady state must not allocate, so node-based containers are banned.
-HOT_PATH_DIRS = ("src/sim", "src/flow")
+# Path prefixes whose code runs on the simulator's per-event hot path or in
+# every DSS-LC round and state sync: the steady state must not allocate, so
+# node-based containers are banned.
+HOT_PATH_DIRS = ("src/sim", "src/flow", "src/sched/dss_lc.",
+                 "src/metrics/state_storage.")
 
 HOT_PATH_BAN = re.compile(
     r"std::(map|multimap|set|multiset|list|unordered_map|unordered_set"
@@ -84,8 +88,7 @@ STATS_STRUCT = re.compile(r"^\s*struct\s+(\w*(?:Stats|Counters))\b")
 ALLOW_STATS_STRUCT = "tango-lint: allow(stats-struct)"
 # Structs that predate TangoScope (kept as plain views/aggregates).
 GRANDFATHERED_STATS = {
-    "SyncStats", "PeriodStats", "LcRoundStats", "SolverPoolStats",
-    "TraceStats",
+    "SyncStats", "PeriodStats", "LcRoundStats", "TraceStats",
 }
 
 # Scheduling inside src/shard must go through the owner's own simulator;

@@ -104,8 +104,7 @@ class RepoTreeTest(unittest.TestCase):
              "--list-functions"],
             capture_output=True, text=True)
         hot = [l for l in proc.stdout.splitlines() if l.endswith(" HOT")]
-        for needle in ("MinCostMaxFlow::Solve", "MinCostMaxFlow::"
-                       "SolveIncremental", "DssLcScheduler::Route",
+        for needle in ("DssLcScheduler::DispatchType",
                        "Simulator::RunUntil", "ShardEngine::RunShardEpoch",
                        "nn::MatMulInto"):
             self.assertTrue(any(needle in l for l in hot),

@@ -57,6 +57,15 @@ void CheckUsageCache(SimTime now, std::int32_t node, const char* counter,
                                static_cast<long long>(rescanned)));
 }
 
+void CheckUsageAggregate(SimTime now, const char* aggregate,
+                         std::int64_t incremental, std::int64_t rescanned) {
+  AUDIT_CHECK(incremental == rescanned, .subsystem = "metrics",
+              .invariant = "metrics.usage_aggregate", .sim_time = now,
+              .detail = Detail("%s aggregate %lld != rescanned %lld",
+                               aggregate, static_cast<long long>(incremental),
+                               static_cast<long long>(rescanned)));
+}
+
 void CheckLcTargetUsable(SimTime now, std::int32_t node, bool usable) {
   AUDIT_CHECK(usable, .subsystem = "sched",
               .invariant = "sched.lc_target_usable", .sim_time = now,
@@ -74,14 +83,14 @@ void CheckUniqueAssignment(SimTime now, std::int32_t request,
 }
 
 void CheckVersionMonotonic(SimTime now, std::int32_t node,
-                           std::uint64_t seen_version,
+                           std::uint64_t synced_version,
                            std::uint64_t current_version) {
-  AUDIT_CHECK(seen_version <= current_version, .subsystem = "sync",
+  AUDIT_CHECK(synced_version <= current_version, .subsystem = "sync",
               .invariant = "sync.version_monotonic", .sim_time = now,
               .node = node,
-              .detail = Detail("seen version %llu ahead of worker version "
+              .detail = Detail("synced version %llu ahead of worker version "
                                "%llu",
-                               static_cast<unsigned long long>(seen_version),
+                               static_cast<unsigned long long>(synced_version),
                                static_cast<unsigned long long>(
                                    current_version)));
 }
@@ -90,8 +99,7 @@ void CheckDeltaIdentity(SimTime now, std::int32_t node, bool contents_match) {
   AUDIT_CHECK(contents_match, .subsystem = "sync",
               .invariant = "sync.delta_identity", .sim_time = now,
               .node = node,
-              .detail = Detail("delta skip kept a stale snapshot: version "
-                               "unchanged but content differs"));
+              .detail = Detail("sync left a stale snapshot unpushed"));
 }
 
 void DvpaOrderChecker::BeginKind(const char* knob, std::int64_t old_pod_bound,

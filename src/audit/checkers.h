@@ -55,15 +55,21 @@ void CheckLcTargetUsable(SimTime now, std::int32_t node, bool usable);
 void CheckUniqueAssignment(SimTime now, std::int32_t request,
                            bool already_assigned);
 
-/// sync.version_monotonic: a worker's state_version only advances, so a
-/// master's seen-version may never be ahead of the worker it tracks.
+/// metrics.usage_aggregate: the system-wide usage sums SampleMetrics
+/// keeps incrementally must equal a rescan of every worker.
+void CheckUsageAggregate(SimTime now, const char* aggregate,
+                         std::int64_t incremental, std::int64_t rescanned);
+
+/// sync.version_monotonic: a worker's state_version only advances, so the
+/// version state sync last recorded for it may never be ahead of it.
 void CheckVersionMonotonic(SimTime now, std::int32_t node,
-                           std::uint64_t seen_version,
+                           std::uint64_t synced_version,
                            std::uint64_t current_version);
 
-/// sync.delta_identity: when the delta protocol skips a clean node, the
-/// stored snapshot must still match a fresh rebuild (version equality must
-/// imply content equality).
+/// sync.delta_identity: after a sync pushes a cluster's changes into a
+/// view, every worker it left unpushed must still match a fresh snapshot
+/// (version equality must imply content equality, and the change list
+/// must be complete).
 void CheckDeltaIdentity(SimTime now, std::int32_t node, bool contents_match);
 
 /// D-VPA ordered-write protocol (§4.2) as a state machine. One checker

@@ -42,35 +42,15 @@ void Reassurer::Nudge(NodeId node, ServiceId svc, double slack) {
 void Reassurer::Tick(SimTime now) {
   auto& detector = system_->qos_detector();
   const auto& catalog = system_->catalog();
-  if (cfg_.min_samples >= 1) {
-    // Fast path: only (node, LC service) pairs that ever completed a
-    // request have a QoS window; every other pair fails the min_samples
-    // gate anyway. Active windows iterate in ascending (node, service)
-    // order — the same order the full node×service scan visits them — so
-    // the nudge sequence is identical.
-    detector.ForEachActiveWindow(
-        now, [&](NodeId node, ServiceId svc, std::size_t samples) {
-          if (static_cast<int>(samples) < cfg_.min_samples) return;
-          const k8s::WorkerNode* w = system_->FindWorker(node);
-          if (w == nullptr || !w->alive()) return;
-          const auto& spec = catalog.Get(svc);
-          Nudge(node, svc,
-                detector.SlackScore(now, node, svc, spec.qos_target));
-        });
-    return;
-  }
-  // min_samples <= 0 admits empty windows (slack +1 when idle), so the full
-  // cross-product must be scanned.
-  for (k8s::WorkerNode* node : system_->AllWorkers()) {
-    if (!node->alive()) continue;  // nothing to reassure on a crashed node
-    for (ServiceId svc : catalog.LcServices()) {
-      const auto samples = detector.SampleCount(now, node->id(), svc);
-      if (static_cast<int>(samples) < cfg_.min_samples) continue;
-      const auto& spec = catalog.Get(svc);
-      Nudge(node->id(), svc,
-            detector.SlackScore(now, node->id(), svc, spec.qos_target));
-    }
-  }
+  // Only (node, LC service) pairs with a sample in the current window carry
+  // a signal; an idle pair is left alone. Active windows iterate in
+  // ascending (node, service) order.
+  detector.ForEachActiveWindow(now, [&](NodeId node, ServiceId svc) {
+    const k8s::WorkerNode* w = system_->FindWorker(node);
+    if (w == nullptr || !w->alive()) return;  // crashed: nothing to do
+    const auto& spec = catalog.Get(svc);
+    Nudge(node, svc, detector.SlackScore(now, node, svc, spec.qos_target));
+  });
 }
 
 }  // namespace tango::hrm

@@ -26,8 +26,6 @@ struct ReassuranceConfig {
   double step_down = 0.02;
   /// Evaluation period (the paper's 100 ms collection window).
   SimDuration period = 100 * kMillisecond;
-  /// Ignore windows with fewer samples than this (no signal).
-  int min_samples = 1;
 };
 
 class Reassurer {

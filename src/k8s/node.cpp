@@ -522,16 +522,6 @@ metrics::NodeSnapshot WorkerNode::Snapshot(SimTime now) const {
     audit::checks::CheckUsageCache(now, spec_.id.value, "mem_in_use",
                                    mem_use_, mem);
   }
-  if (tunables_.cache_snapshots && snap_cache_version_ == state_version_) {
-    snap_cache_.recorded_at = now;
-    return snap_cache_;
-  }
-  snap_cache_ = SnapshotFresh(now);
-  snap_cache_version_ = state_version_;
-  return snap_cache_;
-}
-
-metrics::NodeSnapshot WorkerNode::SnapshotFresh(SimTime now) const {
   metrics::NodeSnapshot s;
   s.node = spec_.id;
   s.cluster = spec_.cluster;

@@ -45,11 +45,6 @@ struct NodeTunables {
   /// Per-request CPU grant cap as a multiple of its minimum need
   /// (diminishing returns of extra cores).
   double speedup_cap = 2.0;
-  /// Serve Snapshot() from the version-keyed cache when the node is clean.
-  /// The system clears this on the full-rebuild reference path
-  /// (SystemConfig::fast_path = false) so the baseline really pays a
-  /// rebuild per push, like the monitoring stack it models.
-  bool cache_snapshots = true;
   /// Co-location interference model (storm): co-runner CPU/membw/LLC
   /// pressure inflates execution time per the victim's sensitivity
   /// profile. Null (the default) disables the coupling entirely — the
@@ -128,18 +123,13 @@ class WorkerNode {
   /// Monotonic version, bumped on every transition that can change the
   /// node's snapshot (admission, completion, scaling, queue churn, fault
   /// state, policy swap). Version equality implies snapshot-content
-  /// equality (modulo `recorded_at`), which is what lets the state-sync
-  /// fast path skip clean nodes.
+  /// equality (modulo `recorded_at`), which is what lets state sync push
+  /// only the nodes that changed.
   std::uint64_t state_version() const { return state_version_; }
 
-  /// The snapshot is rebuilt only when `state_version()` changed since the
-  /// last call; `recorded_at` is stamped with `now` either way.
+  /// The node's current state as its monitoring stack reports it, stamped
+  /// with `recorded_at = now`.
   metrics::NodeSnapshot Snapshot(SimTime now) const;
-
-  /// Cache-bypassing rebuild — always recomputes from live state. The
-  /// TANGO_AUDIT delta-identity checker uses it to prove that a skipped
-  /// push would have been content-identical to the stored snapshot.
-  metrics::NodeSnapshot SnapshotFresh(SimTime now) const;
 
   /// Scaling operations performed (D-VPA ops under HRM; 0 under native).
   std::int64_t scaling_ops() const { return scaling_ops_; }
@@ -209,8 +199,6 @@ class WorkerNode {
   int running_lc_count_ = 0;
 
   std::uint64_t state_version_ = 1;
-  mutable std::uint64_t snap_cache_version_ = 0;  // 0 = cache empty
-  mutable metrics::NodeSnapshot snap_cache_;
 };
 
 }  // namespace tango::k8s

@@ -61,8 +61,9 @@ void EdgeCloudSystem::BuildClusters() {
   for (const auto& spec : cfg_.clusters) total_nodes += 1 + spec.num_workers;
   node_index_.assign(static_cast<std::size_t>(total_nodes), nullptr);
   node_cluster_.assign(static_cast<std::size_t>(total_nodes), ClusterId{});
-  worker_slot_.assign(static_cast<std::size_t>(total_nodes), -1);
   worker_list_.reserve(static_cast<std::size_t>(total_nodes));
+  synced_version_.assign(static_cast<std::size_t>(total_nodes), 0);
+  changed_in_.assign(static_cast<std::size_t>(total_nodes), 0);
 
   std::int32_t next_node = 0;
   clusters_.reserve(cfg_.clusters.size());
@@ -99,27 +100,26 @@ void EdgeCloudSystem::BuildClusters() {
         use_lc_ += d_lc;
         use_be_ += d_be;
       };
-      NodeTunables tunables = cfg_.node_tunables;
-      if (!cfg_.fast_path) tunables.cache_snapshots = false;
       cl.workers.push_back(std::make_unique<WorkerNode>(
-          &sim_, ns, catalog_, default_policy_, std::move(cbs), tunables));
+          &sim_, ns, catalog_, default_policy_, std::move(cbs),
+          cfg_.node_tunables));
       const auto idx = static_cast<std::size_t>(nid.value);
       node_index_[idx] = cl.workers.back().get();
       node_cluster_[idx] = cl.spec.id;
-      worker_slot_[idx] = static_cast<std::int32_t>(worker_list_.size());
       worker_list_.push_back(cl.workers.back().get());
       cap_total_ += ns.capacity.cpu;
     }
+    cl.changes.reserve(cl.workers.size());
     clusters_.push_back(std::move(cl));
   }
   // Sync scopes are a pure function of the (static) topology — compute them
   // once instead of re-deriving NearbyClusters every sync period.
-  be_seen_.assign(worker_list_.size(), 0);
+  be_synced_.assign(clusters_.size(), 0);
   for (auto& cl : clusters_) {
     cl.sync_scope =
         topology_.NearbyClusters(cl.spec.id, cfg_.lc_nearby_radius_km);
     cl.sync_scope.push_back(cl.spec.id);
-    cl.lc_seen.assign(worker_list_.size(), 0);
+    cl.scope_synced.assign(cl.sync_scope.size(), 0);
   }
 }
 
@@ -138,8 +138,6 @@ WorkerNode* EdgeCloudSystem::FindWorker(NodeId id) {
   if (!id.valid() || idx >= node_index_.size()) return nullptr;
   return node_index_[idx];  // nullptr for masters
 }
-
-std::vector<WorkerNode*> EdgeCloudSystem::AllWorkers() { return worker_list_; }
 
 NodeId EdgeCloudSystem::MasterOf(ClusterId cluster) const {
   return clusters_[static_cast<std::size_t>(cluster.value)].master;
@@ -197,13 +195,6 @@ RequestRecord& EdgeCloudSystem::Record(RequestId id) {
   const auto idx = static_cast<std::size_t>(id.value);
   TANGO_CHECK(idx < records_.size(), "unknown request %d", id.value);
   return records_[idx];
-}
-
-SyncStats EdgeCloudSystem::sync_stats() const {
-  return SyncStats{.syncs = m_syncs_->value(),
-                   .pushes = m_pushes_->value(),
-                   .pushes_skipped = m_pushes_skipped_->value(),
-                   .full_resyncs = m_full_resyncs_->value()};
 }
 
 void EdgeCloudSystem::BeginRequestSpan(const workload::Request& request,
@@ -743,8 +734,8 @@ void EdgeCloudSystem::FailMaster(ClusterId cluster) {
     be_queue_.clear();
     acting_central_ = ElectCentral();
     // The new central cannot trust the deltas the old one had applied —
-    // force a full re-push of the BE view on its next sync.
-    std::fill(be_seen_.begin(), be_seen_.end(), 0);
+    // its BE view catches up on every worker at its next sync.
+    std::fill(be_synced_.begin(), be_synced_.end(), 0);
     m_full_resyncs_->Add();
     HandleLost(std::move(be_lost), cfg_.fault_detect_delay);
   }
@@ -758,13 +749,14 @@ void EdgeCloudSystem::RecoverMaster(ClusterId cluster) {
   // graceful handover migrates the queue without loss.
   const ClusterId previous_central = acting_central_;
   acting_central_ = ElectCentral();
-  // The recovered master's own view went stale while it was down; zero its
-  // seen-versions (and the BE ones on a central handover) so the next sync
-  // is a full re-push, like a kubelet re-list after an apiserver restart.
-  std::fill(clusters_[idx].lc_seen.begin(), clusters_[idx].lc_seen.end(), 0);
+  // The recovered master's own view went stale while it was down; reset
+  // its pairs (and the BE ones on a central handover) so the next sync is
+  // a full re-push, like a kubelet re-list after an apiserver restart.
+  std::vector<std::int64_t>& synced = clusters_[idx].scope_synced;
+  std::fill(synced.begin(), synced.end(), 0);
   m_full_resyncs_->Add();
   if (acting_central_ != previous_central) {
-    std::fill(be_seen_.begin(), be_seen_.end(), 0);
+    std::fill(be_synced_.begin(), be_synced_.end(), 0);
     m_full_resyncs_->Add();
   }
   SyncState(sim_.Now());
@@ -792,131 +784,123 @@ int EdgeCloudSystem::masters_alive() const {
 }
 
 void EdgeCloudSystem::SyncState(SimTime now) {
-  // Per-cluster LC storage: own + geo-nearby workers, plus RTT estimates.
-  // A cut link freezes the snapshots of the far side and marks its nodes
-  // unreachable in the viewing master's storage.
-  //
-  // Delta protocol (fast path): each storage remembers the last node
-  // state_version it pushed; a node whose version is unchanged is skipped —
-  // version equality implies snapshot-content equality, and no consumer
-  // reads `recorded_at`, so the skip is observationally identical to the
-  // full rebuild. Seen-versions are zeroed on master failover to force a
-  // full re-push; a cut link freezes the far side automatically because the
-  // versions keep advancing while no push happens.
+  // Change-list sync: masters schedule from pushed node state (§5.2,
+  // Fig. 3 ➋). Each worker's state_version is read once per round; a
+  // worker whose version moved since the previous round goes on its
+  // cluster's change list, snapshotted once. Version equality implies
+  // snapshot-content equality, and no consumer reads `recorded_at`, so
+  // every other worker needs no push. Each live view then syncs every
+  // cluster in its scope through SyncPair.
   m_syncs_->Add();
-  const bool delta = cfg_.fast_path;
-  // Push counters are tallied locally and added once per sync: the
-  // per-node checks below are the hottest loop of a sync.
-  std::int64_t pushes = 0;
-  std::int64_t skipped = 0;
+  ++sync_round_;
+  for (auto& cl : clusters_) {
+    cl.changes.clear();
+    for (const auto& w : cl.workers) {
+      const auto id = static_cast<std::size_t>(w->id().value);
+      const std::uint64_t version = w->state_version();
+      if constexpr (audit::kEnabled) {
+        audit::checks::CheckVersionMonotonic(now, w->id().value,
+                                             synced_version_[id], version);
+      }
+      if (synced_version_[id] == version) continue;
+      synced_version_[id] = version;
+      changed_in_[id] = sync_round_;
+      cl.changes.push_back(w->Snapshot(now));
+    }
+  }
+  // One registry add per round instead of one per pair.
+  SyncTally tally;
+  // Per-cluster LC storage: own + geo-nearby workers, plus RTT estimates.
   for (auto& cl : clusters_) {
     if (!MasterAlive(cl.spec.id)) continue;  // a dead master syncs nothing
-    for (ClusterId c : cl.sync_scope) {
-      const LinkFault lf = LinkStateOf(cl.spec.id, c);
-      if (lf.cut) {
-        cl.lc_storage.MarkClusterReachability(c, false);
-        continue;
-      }
-      const Cluster& other = clusters_[static_cast<std::size_t>(c.value)];
-      for (const auto& w : other.workers) {
-        const auto slot = static_cast<std::size_t>(
-            worker_slot_[static_cast<std::size_t>(w->id().value)]);
-        if constexpr (audit::kEnabled) {
-          audit::checks::CheckVersionMonotonic(now, w->id().value,
-                                               cl.lc_seen[slot],
-                                               w->state_version());
-        }
-        if (delta && cl.lc_seen[slot] == w->state_version()) {
-          if constexpr (audit::kEnabled) {
-            // The skip claims the stored snapshot is still exact: prove it
-            // by rebuilding from live state, bypassing the node's cache.
-            const metrics::NodeSnapshot* stored = cl.lc_storage.Find(w->id());
-            audit::checks::CheckDeltaIdentity(
-                now, w->id().value,
-                stored != nullptr &&
-                    metrics::SameContent(*stored, w->SnapshotFresh(now)));
-          }
-          ++skipped;
-          continue;
-        }
-        cl.lc_storage.Update(w->Snapshot(now));
-        cl.lc_seen[slot] = w->state_version();
-        ++pushes;
-      }
-      cl.lc_storage.MarkClusterReachability(c, true);
-      SimDuration rtt = topology_.Rtt(cl.spec.id, c);
-      if (lf.latency_mult > 1.0) {
-        rtt = static_cast<SimDuration>(static_cast<double>(rtt) *
-                                       lf.latency_mult);
-      }
-      cl.lc_storage.UpdateRtt(c, rtt);
+    for (std::size_t i = 0; i < cl.sync_scope.size(); ++i) {
+      SyncPair(cl.lc_storage, cl.spec.id, cl.sync_scope[i],
+               cl.scope_synced[i], now, tally);
     }
   }
   // The acting central's BE storage sees every reachable cluster.
   if (MasterAlive(acting_central_)) {
-    for (auto& cl : clusters_) {
-      const LinkFault lf = LinkStateOf(acting_central_, cl.spec.id);
-      if (lf.cut) {
-        be_storage_.MarkClusterReachability(cl.spec.id, false);
-        continue;
-      }
-      for (const auto& w : cl.workers) {
-        const auto slot = static_cast<std::size_t>(
-            worker_slot_[static_cast<std::size_t>(w->id().value)]);
-        if constexpr (audit::kEnabled) {
-          audit::checks::CheckVersionMonotonic(now, w->id().value,
-                                               be_seen_[slot],
-                                               w->state_version());
-        }
-        if (delta && be_seen_[slot] == w->state_version()) {
-          if constexpr (audit::kEnabled) {
-            const metrics::NodeSnapshot* stored = be_storage_.Find(w->id());
-            audit::checks::CheckDeltaIdentity(
-                now, w->id().value,
-                stored != nullptr &&
-                    metrics::SameContent(*stored, w->SnapshotFresh(now)));
-          }
-          ++skipped;
-          continue;
-        }
-        be_storage_.Update(w->Snapshot(now));
-        be_seen_[slot] = w->state_version();
-        ++pushes;
-      }
-      be_storage_.MarkClusterReachability(cl.spec.id, true);
-      SimDuration rtt = topology_.Rtt(acting_central_, cl.spec.id);
-      if (lf.latency_mult > 1.0) {
-        rtt = static_cast<SimDuration>(static_cast<double>(rtt) *
-                                       lf.latency_mult);
-      }
-      be_storage_.UpdateRtt(cl.spec.id, rtt);
+    for (std::size_t c = 0; c < clusters_.size(); ++c) {
+      SyncPair(be_storage_, acting_central_, clusters_[c].spec.id,
+               be_synced_[c], now, tally);
     }
   }
-  m_pushes_->Add(pushes);
-  m_pushes_skipped_->Add(skipped);
+  m_pushes_->Add(tally.pushes);
+  m_pushes_skipped_->Add(tally.skipped);
+}
+
+void EdgeCloudSystem::SyncPair(metrics::StateStorage& view, ClusterId viewer,
+                               ClusterId source, std::int64_t& last_synced,
+                               SimTime now, SyncTally& tally) {
+  // A cut link freezes the far side's snapshots and marks its nodes
+  // unreachable in the viewing master's storage; the pair catches up once
+  // the link heals.
+  const LinkFault lf = LinkStateOf(viewer, source);
+  if (lf.cut) {
+    view.MarkClusterReachability(source, false);
+    return;
+  }
+  const Cluster& src = clusters_[static_cast<std::size_t>(source.value)];
+  std::int64_t pushes = 0;
+  if (last_synced == sync_round_ - 1) {
+    // Received the previous round: this round's change list is exactly
+    // what moved since.
+    for (const metrics::NodeSnapshot& snap : src.changes) view.Update(snap);
+    pushes = static_cast<std::int64_t>(src.changes.size());
+  } else {
+    // Missed rounds (cut link, dead master, failover reset): push every
+    // worker whose last change came after this pair's last sync.
+    for (const auto& w : src.workers) {
+      const auto id = static_cast<std::size_t>(w->id().value);
+      if (changed_in_[id] <= last_synced) continue;
+      view.Update(w->Snapshot(now));
+      ++pushes;
+    }
+  }
+  last_synced = sync_round_;
+  if constexpr (audit::kEnabled) {
+    // The pushes claim to be complete: every worker left unpushed must
+    // still match its stored snapshot. Prove it against a fresh snapshot
+    // of every worker in the pair.
+    for (const auto& w : src.workers) {
+      const metrics::NodeSnapshot* stored = view.Find(w->id());
+      audit::checks::CheckDeltaIdentity(
+          now, w->id().value,
+          stored != nullptr &&
+              metrics::SameContent(*stored, w->Snapshot(now)));
+    }
+  }
+  tally.pushes += pushes;
+  tally.skipped += static_cast<std::int64_t>(src.workers.size()) - pushes;
+  view.MarkClusterReachability(source, true);
+  SimDuration rtt = topology_.Rtt(viewer, source);
+  if (lf.latency_mult > 1.0) {
+    rtt = static_cast<SimDuration>(static_cast<double>(rtt) *
+                                   lf.latency_mult);
+  }
+  view.UpdateRtt(source, rtt);
 }
 
 void EdgeCloudSystem::SampleMetrics(SimTime now) {
-  double used = 0.0, used_lc = 0.0, used_be = 0.0, cap = 0.0;
-  if (cfg_.fast_path) {
-    // Aggregates are maintained at admission/completion via usage-delta
-    // callbacks; integer sums make this bit-identical to the full scan.
-    used = static_cast<double>(use_total_);
-    used_lc = static_cast<double>(use_lc_);
-    used_be = static_cast<double>(use_be_);
-    cap = static_cast<double>(cap_total_);
-  } else {
+  // Aggregates are maintained at admission/completion via usage-delta
+  // callbacks; integer sums make them exact.
+  if constexpr (audit::kEnabled) {
+    // Certificate: the aggregates equal a rescan of every worker.
+    Millicores total = 0, lc = 0, be = 0;
     for (const WorkerNode* node : worker_list_) {
-      used += static_cast<double>(node->cpu_in_use());
-      used_lc += static_cast<double>(node->cpu_in_use_lc());
-      used_be += static_cast<double>(node->cpu_in_use_be());
-      cap += static_cast<double>(node->spec().capacity.cpu);
+      total += node->cpu_in_use();
+      lc += node->cpu_in_use_lc();
+      be += node->cpu_in_use_be();
     }
+    audit::checks::CheckUsageAggregate(now, "cpu_in_use", use_total_, total);
+    audit::checks::CheckUsageAggregate(now, "cpu_in_use_lc", use_lc_, lc);
+    audit::checks::CheckUsageAggregate(now, "cpu_in_use_be", use_be_, be);
   }
+  const auto cap = static_cast<double>(cap_total_);
   PeriodStats& p = CurrentPeriod();
-  p.util_total = cap > 0.0 ? used / cap : 0.0;
-  p.util_lc = cap > 0.0 ? used_lc / cap : 0.0;
-  p.util_be = cap > 0.0 ? used_be / cap : 0.0;
+  p.util_total = cap > 0.0 ? static_cast<double>(use_total_) / cap : 0.0;
+  p.util_lc = cap > 0.0 ? static_cast<double>(use_lc_) / cap : 0.0;
+  p.util_be = cap > 0.0 ? static_cast<double>(use_be_) / cap : 0.0;
   tss_.Gauge("util.total", now, p.util_total);
   tss_.Gauge("util.lc", now, p.util_lc);
   tss_.Gauge("util.be", now, p.util_be);

@@ -60,22 +60,6 @@ struct SystemConfig {
   SimDuration fault_detect_delay = 100 * kMillisecond;
   /// A request lost this many times is dropped (counted, never silent).
   int max_fault_reroutes = 16;
-  /// Fast monitoring path: delta state sync (only nodes whose
-  /// `state_version` changed since the last push) and O(1) metrics from
-  /// incrementally maintained aggregates. `false` selects the full-rebuild
-  /// reference path — same observable behavior, kept for identity checks
-  /// and as the benchmark baseline.
-  bool fast_path = true;
-};
-
-/// View over the delta state-sync counters (see SyncState). Since
-/// TangoScope the authoritative values live in the system's metric
-/// registry ("sync.*"); sync_stats() rebuilds this struct from them.
-struct SyncStats {  // tango-lint: allow(stats-struct)
-  std::int64_t syncs = 0;           // SyncState invocations
-  std::int64_t pushes = 0;          // snapshots pushed into a storage
-  std::int64_t pushes_skipped = 0;  // clean nodes skipped by the delta path
-  std::int64_t full_resyncs = 0;    // seen-version resets (master failover)
 };
 
 /// Dynamic state of one inter-cluster link under fault injection.
@@ -197,15 +181,16 @@ class EdgeCloudSystem {
   ClusterId central_cluster() const { return central_; }
   int num_clusters() const { return static_cast<int>(clusters_.size()); }
   int num_workers() const { return static_cast<int>(worker_list_.size()); }
-  /// Rebuilt from the "sync.*" registry counters (kept as a struct for
-  /// existing consumers; see metrics_registry() for the full surface).
-  SyncStats sync_stats() const;
   /// The system's TangoScope metric registry: request/QoS counters and
-  /// latency histograms, sync and fault counters, utilization gauges.
+  /// latency histograms, utilization gauges, fault counters and the sync
+  /// counters "sync.syncs", "sync.pushes", "sync.pushes_skipped" (workers
+  /// a synced pair left unpushed) and "sync.full_resyncs" (view resets on
+  /// master failover).
   scope::MetricRegistry& metrics_registry() { return metrics_; }
   const scope::MetricRegistry& metrics_registry() const { return metrics_; }
   WorkerNode* FindWorker(NodeId id);
-  std::vector<WorkerNode*> AllWorkers();
+  /// Every worker, in ascending NodeId order.
+  const std::vector<WorkerNode*>& AllWorkers() { return worker_list_; }
   NodeId MasterOf(ClusterId cluster) const;
   ClusterId ClusterOfNode(NodeId node) const;
   const metrics::StateStorage& LcStorage(ClusterId cluster) const;
@@ -232,9 +217,12 @@ class EdgeCloudSystem {
     /// Geo-nearby clusters (plus self) this master syncs from — the
     /// topology is static, so the scope is computed once at build time.
     std::vector<ClusterId> sync_scope;
-    /// Last node state_version pushed into lc_storage, by worker slot.
-    /// 0 never matches a live version, so zeroing forces a full re-push.
-    std::vector<std::uint64_t> lc_seen;
+    /// Per sync_scope entry: the sync round in which lc_storage last
+    /// received that cluster (0 = never, which forces a full catch-up).
+    std::vector<std::int64_t> scope_synced;
+    /// This cluster's change list for the current sync round: a snapshot
+    /// of every worker whose state_version moved since the previous round.
+    std::vector<metrics::NodeSnapshot> changes;
   };
 
   void BuildClusters();
@@ -247,6 +235,16 @@ class EdgeCloudSystem {
   void OnAbandon(const workload::Request& request, SimTime now);
   void OnBeReturn(NodeId from, const workload::Request& request);
   void SyncState(SimTime now);
+  /// Pushes and skips of one sync round.
+  struct SyncTally {
+    std::int64_t pushes = 0;
+    std::int64_t skipped = 0;
+  };
+  /// Sync one (view, source cluster) pair in the current round and advance
+  /// its `last_synced` round; see SyncState.
+  void SyncPair(metrics::StateStorage& view, ClusterId viewer,
+                ClusterId source, std::int64_t& last_synced, SimTime now,
+                SyncTally& tally);
   void SampleMetrics(SimTime now);
   /// Transfer delay via the topology plus the egress regulator (link-fault
   /// latency multipliers included).
@@ -291,12 +289,11 @@ class EdgeCloudSystem {
   std::vector<Cluster> clusters_;
   // Dense node index: node ids are assigned 0..N-1 at build time, so flat
   // vectors replace the former std::map lookups on the hot paths. Masters
-  // hold nullptr in node_index_ and -1 in worker_slot_. worker_list_ is in
-  // ascending NodeId order (the former map iteration order).
+  // hold nullptr in node_index_. worker_list_ is in ascending NodeId order
+  // (the former map iteration order).
   std::vector<WorkerNode*> node_index_;
   std::vector<ClusterId> node_cluster_;
   std::vector<WorkerNode*> worker_list_;
-  std::vector<std::int32_t> worker_slot_;
   ClusterId central_;
   LcScheduler* lc_sched_ = nullptr;
   BeScheduler* be_sched_ = nullptr;
@@ -306,13 +303,20 @@ class EdgeCloudSystem {
   std::deque<PendingRequest> be_queue_;  // at the acting central master
   bool be_dispatch_pending_ = false;
   metrics::StateStorage be_storage_;
-  /// Last node state_version pushed into be_storage_, by worker slot
-  /// (zeroed on central failover to force a full re-push).
-  std::vector<std::uint64_t> be_seen_;
+  /// Per cluster: the sync round in which be_storage_ last received it
+  /// (zeroed on central failover to force a full catch-up).
+  std::vector<std::int64_t> be_synced_;
 
-  // TangoScope surface. The registry itself is always live (it backs
-  // sync_stats() and the fault counters); metrics are registered once in
-  // the constructor and bumped through these cached pointers — a relaxed
+  // Change-list sync state, by NodeId value (masters unused). A worker's
+  // state_version as of the last sync round, and the last round in which
+  // it moved. Rounds count SyncState calls from 1.
+  std::vector<std::uint64_t> synced_version_;
+  std::vector<std::int64_t> changed_in_;
+  std::int64_t sync_round_ = 0;
+
+  // TangoScope surface. The registry itself is always live (it backs the
+  // sync and fault counters); metrics are registered once in the
+  // constructor and bumped through these cached pointers — a relaxed
   // atomic add, same cost as the plain ++member it replaced. Span handles
   // in request_spans_ parallel records_ and stay empty unless tracing is
   // active.

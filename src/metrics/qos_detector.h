@@ -39,16 +39,16 @@ class QosDetector {
   std::size_t SampleCount(SimTime now, NodeId node, ServiceId service);
 
   /// Visit every (node, service) window holding at least one sample after
-  /// eviction: `visit(node, service, sample_count)`, in ascending
-  /// (node, service) order. Windows exist only for pairs that ever observed
-  /// a completion, so callers iterating "everything with signal" skip the
-  /// idle node×service cross-product entirely.
+  /// eviction: `visit(node, service)`, in ascending (node, service) order.
+  /// Windows exist only for pairs that ever observed a completion, so
+  /// callers iterating "everything with signal" skip the idle
+  /// node×service cross-product entirely.
   template <typename Visitor>
   void ForEachActiveWindow(SimTime now, Visitor&& visit) {
     for (auto& [key, win] : windows_) {
       win.Evict(now);
       if (win.empty()) continue;
-      visit(key.first, key.second, win.size());
+      visit(key.first, key.second);
     }
   }
 

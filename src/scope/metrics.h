@@ -2,7 +2,7 @@
 // histograms behind one queryable surface.
 //
 // Replaces the ad-hoc counter structs that used to accumulate around the
-// codebase (SyncStats-style members bumped inline): a component registers
+// codebase (stats-struct members bumped inline): a component registers
 // each metric once at construction (mutex-protected name lookup), keeps
 // the returned pointer, and samples it O(1) on the hot path — a relaxed
 // atomic add, no allocation, no lock. tools/lint.py bans new `*Stats`
@@ -14,8 +14,8 @@
 // (string literals); a name identifies one metric of one kind.
 //
 // Unlike span tracing, the registry is NOT compile-time gated: it also
-// backs always-on bookkeeping (EdgeCloudSystem::sync_stats() is rebuilt
-// from registry counters), and a relaxed fetch_add costs the same as the
+// backs always-on bookkeeping (EdgeCloudSystem's "sync.*" and "fault.*"
+// counters live only here), and a relaxed fetch_add costs the same as the
 // plain `++member` it replaced.
 #pragma once
 

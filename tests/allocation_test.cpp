@@ -1,8 +1,8 @@
 // Tests for the allocation policies: native K8s (fixed container limits),
 // HRM (§4.1 regulations), and the CERES baseline — plus the memory-
 // allocation discipline of the hot paths under a process-wide counting
-// operator new: the storm generators, a steady-state DSS-LC round and the
-// state storage's sync/read path.
+// operator new: the storm generators, a steady-state DSS-LC round, the
+// state storage's sync/read path and a whole system's state sync.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,11 +10,15 @@
 #include <new>
 
 #include "common/rng.h"
+#include "eval/harness.h"
 #include "hrm/regulations.h"
 #include "k8s/allocation.h"
+#include "k8s/system.h"
 #include "metrics/state_storage.h"
+#include "sched/be_baselines.h"
 #include "sched/ceres.h"
 #include "sched/dss_lc.h"
+#include "sched/lc_baselines.h"
 #include "storm/scenario.h"
 #include "storm/source.h"
 
@@ -451,6 +455,47 @@ TEST(StateStorageAllocation, KnownNodeUpdatesAndReadsAllocateNothing) {
   EXPECT_EQ(seen, 2000u * 49);
   EXPECT_GT(rtt_sum, 0);
   EXPECT_EQ(st.Find(NodeId{17})->queued, 2000 % 9);
+}
+
+TEST(SyncAllocation, SteadyStateSyncOnBusySystemAllocatesNothing) {
+  // Every view holds every worker after the first sync, so a later sync
+  // only overwrites known snapshots from the cluster change lists.
+  const ServiceCatalog cat = ServiceCatalog::Standard();
+  k8s::SystemConfig cfg;
+  cfg.clusters = eval::PhysicalClusters(5);
+  cfg.region_km = 900.0;
+  cfg.seed = 11;
+  k8s::EdgeCloudSystem sys(cfg, &cat);
+  sched::LoadGreedyLcScheduler lc(&cat);
+  sched::LoadGreedyBeScheduler be(&cat);
+  sys.SetLcScheduler(&lc);
+  sys.SetBeScheduler(&be);
+  workload::Trace trace;
+  for (int i = 0; i < 400; ++i) {
+    workload::Request r;
+    r.id = RequestId{i};
+    r.service = i % 3 == 2 ? ServiceId{9} : ServiceId{3};
+    r.origin = ClusterId{i % 5};
+    r.arrival = i * 5 * kMillisecond;
+    r.work_scale = 1.0;
+    trace.push_back(r);
+  }
+  sys.SubmitTrace(trace);
+  // The forced sync below also arms the dispatchers; keep their events
+  // inside a pre-sized pool.
+  sys.simulator().ReserveEvents(4096);
+  const scope::Counter& pushes =
+      sys.metrics_registry().GetCounter("sync.pushes");
+  for (const SimTime at : {1 * kSecond + 50 * kMillisecond,
+                           1 * kSecond + 420 * kMillisecond}) {
+    sys.Run(at);
+    const std::int64_t pushed = pushes.value();
+    const std::int64_t before = g_alloc_events;
+    // Clearing a fault on a pair that has none forces a sync right now.
+    sys.ClearLinkFault(ClusterId{0}, ClusterId{1});
+    EXPECT_EQ(g_alloc_events - before, 0) << "sync at " << at;
+    EXPECT_GT(pushes.value(), pushed) << "sync at " << at;
+  }
 }
 
 }  // namespace

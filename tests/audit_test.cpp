@@ -31,9 +31,10 @@ TEST(AuditDisabled, CheckersAreInert) {
   audit::checks::CheckNodeConservation(0, 1, /*cpu_capacity=*/1000,
                                        /*cpu_granted=*/9999, 100, 9999);
   audit::checks::CheckUsageCache(0, 1, "cpu_in_use", 5, 7);
+  audit::checks::CheckUsageAggregate(0, "cpu_in_use", 5, 7);
   audit::checks::CheckLcTargetUsable(0, 1, /*usable=*/false);
   audit::checks::CheckUniqueAssignment(0, 1, /*already_assigned=*/true);
-  audit::checks::CheckVersionMonotonic(0, 1, /*seen=*/9, /*current=*/3);
+  audit::checks::CheckVersionMonotonic(0, 1, /*synced=*/9, /*current=*/3);
   audit::checks::CheckDeltaIdentity(0, 1, /*contents_match=*/false);
   audit::checks::CheckCgroupBound(100, 200, "cpu.cfs_quota_us", "p/c");
   DvpaOrderChecker order(0, 1, 2);
@@ -95,6 +96,14 @@ TEST(AuditDeathTest, NodeMemConservation) {
 TEST(AuditDeathTest, UsageCacheDrift) {
   EXPECT_DEATH(audit::checks::CheckUsageCache(7, 3, "cpu_in_use", 100, 90),
                "AUDIT VIOLATION.*node.usage_cache");
+}
+
+TEST(AuditDeathTest, UsageAggregateDrift) {
+  // SampleMetrics' certificate: the incremental system-wide sums against a
+  // rescan of every worker.
+  EXPECT_DEATH(audit::checks::CheckUsageAggregate(7, "cpu_in_use_be", 300,
+                                                  250),
+               "AUDIT VIOLATION.*metrics.usage_aggregate");
 }
 
 TEST(AuditDeathTest, LcRoutedToDeadNode) {

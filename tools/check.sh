@@ -4,15 +4,16 @@
 # configure (-DTANGO_TSAN=ON) that runs only the concurrency-touching tests
 # (thread pool, MCMF reuse, harness fan-out, TangoScope emission, sharded
 # engine), a TangoAudit configure (-DTANGO_AUDIT=ON) that runs the full
-# suite with every runtime invariant checker live, and a TangoScope
-# configure (-DTANGO_SCOPE=ON) that runs the full suite plus a traced
-# chaos_demo whose exported Chrome trace must parse as JSON, and a
-# UBSan-only configure (-DTANGO_UBSAN=ON) that runs the full suite without
-# ASan's shadow memory. The no-build gates: `lint` runs tools/lint.py plus
-# its fixture regression suite, `vet` runs the TangoVet static analyzer
-# (tools/vet) over src/ plus its fixture regression suite, and `static`
-# collapses every static gate (lint, clang-format when present, vet) into
-# one entry point. All selected configs must pass for check.sh to exit 0.
+# suite plus the perf_sched and perf_sim smokes with every runtime invariant
+# checker live, a TangoScope configure (-DTANGO_SCOPE=ON) that runs the
+# full suite plus a traced chaos_demo whose exported Chrome trace must
+# parse as JSON, and a UBSan-only configure (-DTANGO_UBSAN=ON) that runs
+# the full suite without ASan's shadow memory. The no-build gates: `lint`
+# runs tools/lint.py plus its fixture regression suite, `vet` runs the
+# TangoVet static analyzer (tools/vet) over src/ plus its fixture
+# regression suite, and `static` collapses every static gate (lint,
+# clang-format when present, vet) into one entry point. All selected
+# configs must pass for check.sh to exit 0.
 # Run from anywhere; paths are relative to the repo root.
 #
 #   $ tools/check.sh            # all configs + static gates
@@ -58,8 +59,8 @@ run_config() {
 
 if [[ "$what" == "all" || "$what" == "plain" ]]; then
   run_config plain "$repo_root/build"
-  # Fast-path identity + zero-allocation asserts, no timing gates. Run from
-  # the build dir so a smoke run never touches a committed BENCH_*.json.
+  # Sharded-digest identity + zero-allocation asserts, no timing gates. Run
+  # from the build dir so a smoke run never touches a committed BENCH_*.json.
   echo "== [plain] perf_sim --smoke =="
   (cd "$repo_root/build" && bench/perf_sim --smoke)
   # TangoStorm invariants: per-seed determinism, per-cluster union ==
@@ -106,6 +107,11 @@ if [[ "$what" == "all" || "$what" == "audit" ]]; then
   # the build dir so the smoke run never touches a committed BENCH_*.json.
   echo "== [audit] perf_sched --smoke =="
   (cd "$repo_root/build-audit" && bench/perf_sched --smoke)
+  # A whole system outside gtest with the state-sync certificates
+  # (sync.version_monotonic, sync.delta_identity) and SampleMetrics' usage
+  # rescan (metrics.usage_aggregate) live at every sync and sample.
+  echo "== [audit] perf_sim --smoke =="
+  (cd "$repo_root/build-audit" && bench/perf_sim --smoke)
 fi
 
 if [[ "$what" == "all" || "$what" == "scope" ]]; then

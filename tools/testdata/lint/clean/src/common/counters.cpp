@@ -1,6 +1,6 @@
 // Negative controls for [stats-struct]: grandfathered name + allow escape.
 namespace fx {
-struct SyncStats {
+struct PeriodStats {
   long deltas = 0;
 };
 struct RetryStats {  // tango-lint: allow(stats-struct)

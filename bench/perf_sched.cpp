@@ -37,6 +37,7 @@
 
 #include "bench_common.h"
 #include "common/stats.h"
+#include "common/thread_pool.h"
 #include "rl/agent.h"
 #include "sched/dss_lc.h"
 #include "sched/learned_be.h"
@@ -326,9 +327,162 @@ DcgBeRow TimeDcgBe(const char* label, int clusters, int workers_per_cluster,
   return row;
 }
 
+/// The A2C update's backward and Adam step on one slot and on the learner
+/// pool, phase by phase (median ms over alternating repetitions, each on a
+/// freshly built copy of the same tapes), with the FNV-1a digest of every
+/// parameter gradient each produced.
+struct BackwardPhases {
+  double prep_ms = 0.0;
+  double steps_ms = 0.0;
+  double replay_ms = 0.0;
+  double adam_ms = 0.0;
+  double total_ms() const { return prep_ms + steps_ms + replay_ms + adam_ms; }
+  std::uint64_t digest = 0;
+};
+
+struct BackwardRow {
+  int steps = 0;
+  int tiles = 0;
+  int slots = 0;  // the learner pool's
+  int reps = 0;
+  std::uint64_t oracle_digest = 0;  // one serial nn::Backward
+  BackwardPhases one_slot;
+  BackwardPhases pool;
+};
+
+std::uint64_t GradDigest(const nn::ParamStore& store) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const auto& p : store.params()) {
+    for (std::size_t i = 0; i < p->grad.size(); ++i) {
+      std::uint32_t bits;
+      std::memcpy(&bits, p->grad.data() + i, sizeof bits);
+      h = Fnv(h, bits);
+    }
+  }
+  return h;
+}
+
+/// One A2C update's loss over `steps` paper_dual-shaped decisions (the
+/// 104-cluster ring, paper-default GraphSAGE + 256/128/32 heads), built as
+/// A2cAgent::Train builds it: per step the policy-gradient, value and
+/// entropy terms summed, the steps chained by Add and averaged.
+struct UpdateTape {
+  nn::ParamStore store;
+  nn::Var root;
+  std::vector<nn::Var> step_losses;
+};
+
+void BuildUpdateTape(int steps, UpdateTape* tape) {
+  const auto catalog = workload::ServiceCatalog::Standard();
+  sched::LearnedBeConfig cfg;
+  cfg.granularity = sched::BeGranularity::kCluster;
+  auto be = sched::MakeDcgBe(&catalog, gnn::EncoderKind::kGraphSage, 7, cfg);
+  StateStorage st = MakeStorage(104, 10, 91);
+  std::vector<NodeSnapshot> nodes = st.All();
+  PendingRequest req;
+  req.request.service = ServiceId{9};
+  Rng rng(7);
+  const rl::A2cConfig a2c;
+  auto encoder = gnn::MakeEncoder(a2c.encoder, tape->store, "enc",
+                                  a2c.feature_dim, a2c.embed_dim, rng);
+  const auto actor =
+      nn::Mlp::PaperHead(tape->store, "actor", a2c.embed_dim, 1, rng);
+  const auto critic =
+      nn::Mlp::PaperHead(tape->store, "critic", a2c.embed_dim, 1, rng);
+  for (int s = 0; s < steps; ++s) {
+    const rl::GraphState state = be->BuildState(req, st);
+    const int n = state.graph.num_nodes();
+    const nn::Matrix mask = rl::MaskRow(state.valid, n);
+    const nn::Var h = encoder->Encode(state.graph, rng);
+    const nn::Var logits = nn::Transpose(actor.Forward(h));
+    const nn::Var value = critic.Forward(nn::MatMul(
+        nn::Constant(nn::Matrix(1, n, 1.0f / static_cast<float>(n))), h));
+    int action = (7 * s) % n;
+    while (mask.at(0, action) == 0.0f) action = (action + 1) % n;
+    const float advantage = 0.5f - nn::ScalarValue(value);
+    const nn::Var pg = nn::Scale(
+        nn::GatherCols(nn::LogSoftmax(logits, &mask), {action}), -advantage);
+    const nn::Var diff =
+        nn::Sub(value, nn::Constant(nn::Matrix(1, 1, 0.5f)));
+    const nn::Var vloss = nn::Scale(nn::Mul(diff, diff), a2c.value_coef);
+    const nn::Var ent = nn::Scale(nn::EntropyOfSoftmax(logits, &mask),
+                                  -a2c.entropy_coef);
+    nn::Var loss = nn::Add(nn::Add(pg, vloss), ent);
+    tape->root = tape->root ? nn::Add(tape->root, loss) : loss;
+    tape->step_losses.push_back(std::move(loss));
+    for (int k = 0; k < 4; ++k) {
+      auto& w = nodes[static_cast<std::size_t>(rng.UniformInt(
+          0, static_cast<std::int64_t>(nodes.size()) - 1))];
+      w.cpu_available = rng.UniformInt(500, 8000);
+      w.queued = static_cast<int>(rng.UniformInt(0, 16));
+      st.Update(w);
+    }
+  }
+  tape->root = nn::Scale(tape->root, 1.0f / static_cast<float>(steps));
+}
+
+BackwardRow TimeBackward(int reps) {
+  BackwardRow row;
+  row.reps = reps;
+  {
+    UpdateTape tape;
+    BuildUpdateTape(16, &tape);
+    row.steps = static_cast<int>(tape.step_losses.size());
+    nn::Backward(tape.root);
+    row.oracle_digest = GradDigest(tape.store);
+  }
+  ThreadPool one_slot(1);
+  one_slot.Shutdown();  // a shut-down pool runs every task on the caller
+  ThreadPool& pool = rl::LearnerPool();
+  row.slots = pool.concurrency();
+  struct Side {
+    ThreadPool* pool;
+    BackwardPhases* out;
+    std::vector<double> prep, steps, replay, adam;
+  };
+  Side sides[2] = {{&one_slot, &row.one_slot, {}, {}, {}, {}},
+                   {&pool, &row.pool, {}, {}, {}, {}}};
+  for (int r = 0; r < reps; ++r) {
+    for (int i = 0; i < 2; ++i) {
+      Side& side = sides[(r + i) % 2];  // alternate which side runs first
+      // A fresh tape each time, as every update has: the prep allocates
+      // all of its gradient buffers.
+      UpdateTape tape;
+      BuildUpdateTape(16, &tape);
+      nn::Adam adam(tape.store);
+      const double t0 = Now();
+      nn::SplitBackward split(tape.root, tape.step_losses);
+      const double t1 = Now();
+      split.RunSteps(*side.pool);
+      const double t2 = Now();
+      split.Replay(*side.pool);
+      const double t3 = Now();
+      if (r == 0) {
+        side.out->digest = GradDigest(tape.store);
+        row.tiles = static_cast<int>(split.num_tiles());
+      }
+      const double t4 = Now();
+      adam.Step(side.pool == &pool ? &pool : nullptr);
+      const double t5 = Now();
+      side.prep.push_back((t1 - t0) * 1e3);
+      side.steps.push_back((t2 - t1) * 1e3);
+      side.replay.push_back((t3 - t2) * 1e3);
+      side.adam.push_back((t5 - t4) * 1e3);
+    }
+  }
+  for (Side& side : sides) {
+    side.out->prep_ms = Percentile(side.prep, 0.50);
+    side.out->steps_ms = Percentile(side.steps, 0.50);
+    side.out->replay_ms = Percentile(side.replay, 0.50);
+    side.out->adam_ms = Percentile(side.adam, 0.50);
+  }
+  return row;
+}
+
 void WriteJson(const char* path, int cores, const std::vector<SchedRun>& sched,
                const std::vector<PhaseProfile>& phases, double e2e_s,
-               const RepsComparison& reps, const std::vector<DcgBeRow>& dcgbe) {
+               const RepsComparison& reps, const std::vector<DcgBeRow>& dcgbe,
+               const BackwardRow& backward) {
   std::ofstream out(path);
   out << "{\n  \"bench\": \"perf_sched\",\n  "
       << bench::ProvenanceJson(cores) << ",\n  \"sched\": {\n";
@@ -371,6 +525,23 @@ void WriteJson(const char* path, int cores, const std::vector<SchedRun>& sched,
         << r.reuse_misses << "}" << (i + 1 < dcgbe.size() ? "," : "")
         << "\n";
   }
+  const auto phases_json = [&out](const char* name, const BackwardPhases& p) {
+    out << "    \"" << name << "\": {\"prep_ms\": " << p.prep_ms
+        << ", \"steps_ms\": " << p.steps_ms << ", \"replay_ms\": "
+        << p.replay_ms << ", \"adam_ms\": " << p.adam_ms
+        << ", \"total_ms\": " << p.total_ms() << ", \"grad_digest\": \""
+        << Hex(p.digest) << "\"}";
+  };
+  out << "  },\n  \"dcgbe_update\": {\n    \"shape\": \"ring104\", \"steps\": "
+      << backward.steps << ", \"tiles\": " << backward.tiles
+      << ", \"pool_slots\": " << backward.slots << ", \"reps\": "
+      << backward.reps << ", \"oracle_grad_digest\": \""
+      << Hex(backward.oracle_digest) << "\",\n";
+  phases_json("one_slot", backward.one_slot);
+  out << ",\n";
+  phases_json("pool", backward.pool);
+  out << ",\n    \"speedup\": "
+      << backward.one_slot.total_ms() / backward.pool.total_ms() << "\n";
   out << "  }\n}\n";
 }
 
@@ -490,6 +661,31 @@ int main(int argc, char** argv) {
                     "reuse hit/miss"},
                    dcgbe_rows);
 
+  // The update's split backward and Adam step over identical ring104
+  // tapes, on one slot (a shut-down pool) and on the learner pool.
+  const BackwardRow backward = TimeBackward(smoke ? 3 : 15);
+  std::vector<std::vector<std::string>> backward_rows;
+  for (const auto& [name, p] :
+       {std::pair<std::string, const BackwardPhases*>{"1 slot",
+                                                      &backward.one_slot},
+        {"pool (" + std::to_string(backward.slots) + " slots)",
+         &backward.pool}}) {
+    backward_rows.push_back(
+        {name, eval::Fmt(p->prep_ms, 2), eval::Fmt(p->steps_ms, 2),
+         eval::Fmt(p->replay_ms, 2), eval::Fmt(p->adam_ms, 2),
+         eval::Fmt(p->total_ms(), 2), Hex(p->digest)});
+  }
+  eval::PrintTable(("DCG-BE update phases (ring104, " +
+                    std::to_string(backward.steps) + " steps, " +
+                    std::to_string(backward.tiles) +
+                    " replay tiles, median ms of " +
+                    std::to_string(backward.reps) + "; Backward digest " +
+                    Hex(backward.oracle_digest) + ")")
+                       .c_str(),
+                   {"slots", "serial prep", "step fan-out", "param replay",
+                    "adam", "total", "grad digest"},
+                   backward_rows);
+
   double e2e_s = 0.0;
   RepsComparison reps;
   if (!smoke) {
@@ -541,13 +737,33 @@ int main(int argc, char** argv) {
                     std::to_string(dcgbe[0].reuse_misses) + " misses",
                     ring_reused);
   ok = ok && ring_reused;
+  // The split backward is exact: one slot, the pool and one serial
+  // Backward leave the same bits in every parameter gradient.
+  const bool exact = backward.one_slot.digest == backward.oracle_digest &&
+                     backward.pool.digest == backward.oracle_digest;
+  bench::PaperCheck("DCG-BE split backward is bit-identical",
+                    "1 slot = pool = Backward",
+                    Hex(backward.one_slot.digest) + " / " +
+                        Hex(backward.pool.digest),
+                    exact);
+  ok = ok && exact;
+  if (!smoke && cores >= 4) {
+    const double speedup =
+        backward.one_slot.total_ms() / backward.pool.total_ms();
+    const bool faster = speedup > 1.0;
+    bench::PaperCheck("DCG-BE update faster on the learner pool",
+                      "pool < 1 slot on >= 4 cores",
+                      eval::Fmt(speedup, 2) + "x", faster);
+    ok = ok && faster;
+  }
 
   if (!smoke && !custom && bench::ShouldWriteBench("BENCH_sched.json", cores)) {
-    WriteJson("BENCH_sched.json", cores, sched, phases, e2e_s, reps, dcgbe);
+    WriteJson("BENCH_sched.json", cores, sched, phases, e2e_s, reps, dcgbe,
+              backward);
     std::printf("\nwrote BENCH_sched.json\n");
   }
   if (!ok) {
-    std::printf("\nFAILED: allocation, phase-coverage or DCG-BE reuse gate "
+    std::printf("\nFAILED: allocation, phase-coverage or DCG-BE gate "
                 "violated\n");
     return 1;
   }

@@ -6,7 +6,8 @@ namespace tango {
 
 /// One ParallelFor invocation. Workers claim item indices under `mu`; the
 /// caller waits on `done_cv` until every claimed item has finished and no
-/// claimable item remains.
+/// claimable item remains, then on the pool's idle_cv_ until no pool thread
+/// still holds the batch.
 struct ThreadPool::Batch {
   std::size_t n = 0;
   const std::function<void(std::size_t, int)>* fn = nullptr;
@@ -16,6 +17,11 @@ struct ThreadPool::Batch {
   int in_flight = 0;       // items currently executing
   bool abandon = false;    // a task threw: stop claiming new items
   std::exception_ptr error;
+
+  // Guarded by the pool's mu_.
+  Batch* next_open = nullptr;  // the pool's open list
+  int attached = 0;            // pool threads holding this batch
+  bool drained = false;        // no claimable item left: attach no more
 
   void Run(int worker) {
     std::unique_lock<std::mutex> lk(mu);
@@ -69,22 +75,31 @@ void ThreadPool::Shutdown() {
   threads_.clear();
 }
 
+ThreadPool::Batch* ThreadPool::FirstOpen() const {
+  for (Batch* b = open_; b != nullptr; b = b->next_open) {
+    if (!b->drained) return b;
+  }
+  return nullptr;
+}
+
 void ThreadPool::WorkerLoop(int worker_id) {
-  // Generation counting (not pointer comparison) distinguishes successive
-  // batches: a fresh stack Batch can reuse the previous one's address.
-  std::uint64_t seen_gen = 0;
   std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
-    work_cv_.wait(
-        lk, [&] { return stop_ || (batch_ != nullptr && gen_ != seen_gen); });
-    if (batch_ == nullptr || gen_ == seen_gen) return;  // stopped, no new work
-    Batch* b = batch_;
-    seen_gen = gen_;
-    ++attached_;  // keeps the caller from retiring b while we hold it
+    Batch* b = nullptr;
+    work_cv_.wait(lk, [&] {
+      b = FirstOpen();
+      return stop_ || b != nullptr;
+    });
+    if (b == nullptr) return;  // stopped, nothing open
+    // Attached, b stays linked (and alive) until we detach; a batch is
+    // marked drained once a Run over it returns, so no thread re-attaches
+    // to work it has already exhausted.
+    ++b->attached;
     lk.unlock();
     b->Run(worker_id);
     lk.lock();
-    if (--attached_ == 0) idle_cv_.notify_all();
+    b->drained = true;
+    if (--b->attached == 0) idle_cv_.notify_all();
   }
 }
 
@@ -99,8 +114,9 @@ void ThreadPool::ParallelFor(std::size_t n,
     std::lock_guard<std::mutex> lk(mu_);
     pooled = !stop_ && !threads_.empty() && n > 1;
     if (pooled) {
-      batch_ = &b;
-      ++gen_;
+      Batch** tail = &open_;
+      while (*tail != nullptr) tail = &(*tail)->next_open;
+      *tail = &b;
     }
   }
   if (!pooled) {
@@ -113,11 +129,15 @@ void ThreadPool::ParallelFor(std::size_t n,
   b.Run(size());  // the caller is worker slot size()
   b.AwaitDone();
   {
-    // A worker may have grabbed &b but not yet entered Run; b must outlive
-    // it. AwaitDone already guarantees no items remain, so this is brief.
+    // A pool thread may have attached to b but not yet entered Run; b must
+    // outlive it. AwaitDone already guarantees no items remain, so this is
+    // brief — and it waits only for this batch's threads.
     std::unique_lock<std::mutex> lk(mu_);
-    idle_cv_.wait(lk, [this] { return attached_ == 0; });
-    batch_ = nullptr;
+    b.drained = true;
+    idle_cv_.wait(lk, [&b] { return b.attached == 0; });
+    Batch** link = &open_;
+    while (*link != &b) link = &(*link)->next_open;
+    *link = b.next_open;
   }
   if (b.error) std::rethrow_exception(b.error);
 }

@@ -1,13 +1,24 @@
 // A small fixed-size thread pool with deterministic join semantics.
 //
-// The scheduler and the evaluation harness only need structured fan-out:
-// run N independent tasks, wait for all of them, surface the first
-// exception. ParallelFor provides exactly that — it blocks until every
-// task has finished (or been abandoned after an exception elsewhere), so
-// callers never observe a partially-completed batch. Each task receives a
-// stable worker index in [0, size()] which callers use to index per-worker
-// scratch state (e.g. the DSS-LC solver pool); index size() is the calling
-// thread, which always participates in the work.
+// The evaluation harness, the sharded engine and the A2C learner only need
+// structured fan-out: run N independent tasks, wait for all of them,
+// surface the first exception. ParallelFor provides exactly that — it
+// blocks until every task has finished (or been abandoned after an
+// exception elsewhere), so callers never observe a partially-completed
+// batch. Each task receives a worker slot in [0, size()] which callers use
+// to index per-slot scratch state; slot size() is the calling thread, which
+// always participates in the work.
+//
+// Concurrent callers: several threads may call ParallelFor on one pool at
+// the same time (concurrent experiments each training a learner on the one
+// learner pool). Every item of every batch runs exactly once, and a caller
+// returns once its own batch is done — it never waits for pool threads
+// serving another caller's batch, and runs its items inline when no pool
+// thread is free. Pool threads serve the open batches oldest first. Slots
+// are unique within a batch (slot i is pool thread i, slot size() is that
+// batch's caller), but two concurrent callers both run as slot size(), so
+// per-slot scratch must belong to one call, not to the pool. Shutdown must
+// not race a ParallelFor.
 //
 // Determinism note: the pool never introduces nondeterminism by itself —
 // which worker runs which task varies, but tasks must depend only on their
@@ -56,15 +67,15 @@ class ThreadPool {
  private:
   struct Batch;
   void WorkerLoop(int worker_id);
+  /// The oldest open batch that still has unclaimed items; under mu_.
+  Batch* FirstOpen() const;
 
   std::vector<std::thread> threads_;
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable idle_cv_;
-  int attached_ = 0;         // workers holding the current batch pointer
-  Batch* batch_ = nullptr;   // guarded by mu_
-  std::uint64_t gen_ = 0;    // bumped per batch; guarded by mu_
-  bool stop_ = false;        // guarded by mu_
+  Batch* open_ = nullptr;  // open batches, oldest first; guarded by mu_
+  bool stop_ = false;      // guarded by mu_
 };
 
 }  // namespace tango

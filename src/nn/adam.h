@@ -6,6 +6,10 @@
 
 #include "nn/module.h"
 
+namespace tango {
+class ThreadPool;
+}  // namespace tango
+
 namespace tango::nn {
 
 struct AdamConfig {
@@ -22,14 +26,26 @@ class Adam {
   explicit Adam(const ParamStore& store, AdamConfig cfg = {});
 
   /// Apply one update from the gradients currently stored on the params,
-  /// then zero them. Returns the pre-clip global gradient norm.
-  float Step();
+  /// then zero them. Returns the pre-clip global gradient norm. The norm is
+  /// summed serially; with a `pool`, the per-element update runs on it in
+  /// tiles of whole parameters or parameter slices, which changes no float
+  /// since every element is updated on its own.
+  float Step(ThreadPool* pool = nullptr);
 
   std::int64_t steps() const { return t_; }
   const AdamConfig& config() const { return cfg_; }
 
  private:
+  /// Elements [begin, end) of parameter k: one task of a pooled update.
+  struct Tile {
+    std::size_t k;
+    std::size_t begin;
+    std::size_t end;
+  };
+  void Update(const Tile& tile, float scale, float bc1, float bc2);
+
   std::vector<Var> params_;
+  std::vector<Tile> tiles_;
   std::vector<Matrix> m_;
   std::vector<Matrix> v_;
   AdamConfig cfg_;

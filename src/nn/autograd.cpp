@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <span>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/logging.h"
-#include "nn/gemm.h"
+#include "common/thread_pool.h"
 
 namespace tango::nn {
 
@@ -16,12 +18,15 @@ namespace {
 /// how many nodes a call allocates.
 std::atomic<std::int64_t> node_count{0};
 
-Var MakeNode(Matrix value, std::vector<Var> parents,
-             std::function<void(Node&)> backward) {
+using BackwardFn = std::function<void(Node&, std::size_t, Matrix&)>;
+
+Var MakeNode(Matrix value, std::vector<Var> parents, BackwardFn backward,
+             Op op = Op::kOther) {
   node_count.fetch_add(1, std::memory_order_relaxed);
   auto n = std::make_shared<Node>();
   n->value = std::move(value);
   n->parents = std::move(parents);
+  n->op = op;
   bool needs = false;
   for (const auto& p : n->parents) needs = needs || p->requires_grad;
   n->requires_grad = needs;
@@ -36,6 +41,68 @@ void Topo(const Var& v, std::unordered_set<Node*>& seen,
   for (const auto& p : v->parents) Topo(p, seen, order);
   order.push_back(v);
 }
+
+/// An op node on a gradient path: it has a backward to run.
+bool Interior(const Node& n) { return n.requires_grad && !n.parents.empty(); }
+/// A node that only receives adds: a parameter.
+bool GradLeaf(const Node& n) { return n.requires_grad && n.parents.empty(); }
+
+/// The one walk routine, shared by Backward and SplitBackward: each node in
+/// `order` adds its gradient into every parent that needs one. With
+/// `defer_leaves`, adds into leaf parameters are left to the replay.
+void Walk(std::span<Node* const> order, bool defer_leaves, Matrix& scratch) {
+  for (Node* n : order) {
+    n->EnsureGrad();  // in case nothing seeded it (dead branch)
+    for (std::size_t p = 0; p < n->parents.size(); ++p) {
+      const Node& parent = *n->parents[p];
+      if (!parent.requires_grad || (defer_leaves && GradLeaf(parent))) {
+        continue;
+      }
+      n->backward(*n, p, scratch);
+    }
+  }
+}
+
+/// Which part of a backward owns an interior node: the loss chain above the
+/// steps (kChain, and all of a plain Backward), or step s ≥ 0.
+constexpr int kChain = -1;
+using OwnerMap = std::unordered_map<const Node*, int>;
+
+/// Post-order DFS over the interior nodes under `v`, claiming each for
+/// `id`: the order a backward walks in reverse. Leaves and gradient-free
+/// subtrees are skipped, which leaves the order of the rest as a full DFS
+/// has it. A node another id already owns is not entered: for the chain it
+/// is a step loss, listed in `reached` the first time; for a step it is a
+/// node the step may not share.
+void GradTopo(Node* v, int id, OwnerMap& owner, std::vector<int>& reached,
+              std::vector<Node*>& order) {
+  for (const Var& p : v->parents) {
+    if (!Interior(*p)) continue;
+    const auto [it, fresh] = owner.try_emplace(p.get(), id);
+    if (fresh) {
+      GradTopo(p.get(), id, owner, reached, order);
+    } else if (it->second != id) {
+      TANGO_CHECK(id == kChain,
+                  "step loss %d reaches a node of %s; the steps may share "
+                  "only leaf parameters",
+                  id, it->second == kChain ? "the loss chain" : "another step");
+      if (std::find(reached.begin(), reached.end(), it->second) ==
+          reached.end()) {
+        reached.push_back(it->second);
+      }
+    }
+  }
+  order.push_back(v);
+}
+
+/// Whether `n`'s add into parents[p] can be deferred and replayed by block.
+bool CanDefer(const Node& n, std::size_t p) {
+  return (n.op == Op::kMatMul && p == 1) || n.op == Op::kAdd;
+}
+
+/// Replay tiles cover about this many floats of a parameter: enough tiles
+/// to spread the paper's heads over every slot, each still a real GEMM.
+constexpr int kTileFloats = 2048;
 
 }  // namespace
 
@@ -64,17 +131,16 @@ Var Parameter(Matrix m) {
 
 void Backward(const Var& root) {
   TANGO_CHECK(root != nullptr, "null root");
-  std::unordered_set<Node*> seen;
-  std::vector<Var> order;
-  Topo(root, seen, order);
-  root->EnsureGrad().Fill(1.0f);
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    Node& n = **it;
-    if (n.requires_grad && n.backward) {
-      n.EnsureGrad();  // in case nothing seeded it (dead branch)
-      n.backward(n);
-    }
+  std::vector<Node*> order;
+  if (Interior(*root)) {
+    OwnerMap owner{{root.get(), kChain}};
+    std::vector<int> reached;
+    GradTopo(root.get(), kChain, owner, reached, order);
+    std::reverse(order.begin(), order.end());
   }
+  root->EnsureGrad().Fill(1.0f);
+  Matrix scratch;
+  Walk(order, /*defer_leaves=*/false, scratch);
 }
 
 void ZeroGrad(const Var& root) {
@@ -86,18 +152,57 @@ void ZeroGrad(const Var& root) {
   }
 }
 
+namespace {
+
+/// MatMul's add into its right operand, aᵀ · grad, over one block of that
+/// operand. Backward runs it on the whole operand and the split backward's
+/// replay tile by tile, so every element gets the same one add either way.
+void MatMulGradB(const Node& n, Matrix& grad, const GemmBlock& b,
+                 Matrix& scratch) {
+  scratch.Resize(b.r1 - b.r0, b.c1 - b.c0);
+  MatMulTransABlockInto(n.parents[0]->value, n.grad, b, &scratch);
+  for (int r = b.r0; r < b.r1; ++r) {
+    for (int c = b.c0; c < b.c1; ++c) {
+      grad.at(r, c) += scratch.at(r - b.r0, c - b.c0);
+    }
+  }
+}
+
+/// Add's add into either operand over one block of it, shared the same
+/// way: elementwise, or for a broadcast row its column sums, rows
+/// ascending.
+void AddGrad(const Node& n, Matrix& grad, const GemmBlock& b) {
+  if (grad.SameShape(n.grad)) {
+    for (int r = b.r0; r < b.r1; ++r) {
+      for (int c = b.c0; c < b.c1; ++c) grad.at(r, c) += n.grad.at(r, c);
+    }
+    return;
+  }
+  for (int r = 0; r < n.grad.rows(); ++r) {
+    for (int c = b.c0; c < b.c1; ++c) grad.at(0, c) += n.grad.at(r, c);
+  }
+}
+
+GemmBlock Whole(const Matrix& m) { return {0, m.rows(), 0, m.cols()}; }
+
+}  // namespace
+
 Var MatMul(const Var& a, const Var& b) {
   Matrix out = a->value.MatMul(b->value);
-  return MakeNode(std::move(out), {a, b}, [](Node& n) {
-    const Var& pa = n.parents[0];
-    const Var& pb = n.parents[1];
-    if (pa->requires_grad) {
-      pa->EnsureGrad().Add(n.grad.MatMul(pb->value.Transposed()));
-    }
-    if (pb->requires_grad) {
-      pb->EnsureGrad().Add(pa->value.TransposedMatMul(n.grad));
-    }
-  });
+  return MakeNode(
+      std::move(out), {a, b},
+      [](Node& n, std::size_t p, Matrix& scratch) {
+        Matrix& g = n.parents[p]->EnsureGrad();
+        if (p == 1) {
+          MatMulGradB(n, g, Whole(g), scratch);
+          return;
+        }
+        const Matrix& bv = n.parents[1]->value;
+        scratch.Resize(n.grad.rows(), bv.rows());
+        MatMulTransBInto(n.grad, bv, &scratch);  // grad · bᵀ
+        g.Add(scratch);
+      },
+      Op::kMatMul);
 }
 
 Var Add(const Var& a, const Var& b) {
@@ -115,32 +220,23 @@ Var Add(const Var& a, const Var& b) {
   } else {
     out.Add(b->value);
   }
-  return MakeNode(std::move(out), {a, b}, [broadcast](Node& n) {
-    const Var& pa = n.parents[0];
-    const Var& pb = n.parents[1];
-    if (pa->requires_grad) pa->EnsureGrad().Add(n.grad);
-    if (pb->requires_grad) {
-      Matrix& bg = pb->EnsureGrad();
-      if (broadcast) {
-        for (int r = 0; r < n.grad.rows(); ++r) {
-          for (int c = 0; c < n.grad.cols(); ++c) {
-            bg.at(0, c) += n.grad.at(r, c);
-          }
-        }
-      } else {
-        bg.Add(n.grad);
-      }
-    }
-  });
+  return MakeNode(
+      std::move(out), {a, b},
+      [](Node& n, std::size_t p, Matrix&) {
+        Matrix& g = n.parents[p]->EnsureGrad();
+        AddGrad(n, g, Whole(g));
+      },
+      Op::kAdd);
 }
 
 Var Sub(const Var& a, const Var& b) {
   TANGO_CHECK(a->value.SameShape(b->value), "sub shape mismatch");
   Matrix out = a->value;
   out.AddScaled(b->value, -1.0f);
-  return MakeNode(std::move(out), {a, b}, [](Node& n) {
-    if (n.parents[0]->requires_grad) n.parents[0]->EnsureGrad().Add(n.grad);
-    if (n.parents[1]->requires_grad) {
+  return MakeNode(std::move(out), {a, b}, [](Node& n, std::size_t p, Matrix&) {
+    if (p == 0) {
+      n.parents[0]->EnsureGrad().Add(n.grad);
+    } else {
       n.parents[1]->EnsureGrad().AddScaled(n.grad, -1.0f);
     }
   });
@@ -152,23 +248,13 @@ Var Mul(const Var& a, const Var& b) {
   for (int r = 0; r < out.rows(); ++r) {
     for (int c = 0; c < out.cols(); ++c) out.at(r, c) *= b->value.at(r, c);
   }
-  return MakeNode(std::move(out), {a, b}, [](Node& n) {
-    const Var& pa = n.parents[0];
-    const Var& pb = n.parents[1];
-    if (pa->requires_grad) {
-      Matrix& ag = pa->EnsureGrad();
-      for (int r = 0; r < n.grad.rows(); ++r) {
-        for (int c = 0; c < n.grad.cols(); ++c) {
-          ag.at(r, c) += n.grad.at(r, c) * pb->value.at(r, c);
-        }
-      }
-    }
-    if (pb->requires_grad) {
-      Matrix& bg = pb->EnsureGrad();
-      for (int r = 0; r < n.grad.rows(); ++r) {
-        for (int c = 0; c < n.grad.cols(); ++c) {
-          bg.at(r, c) += n.grad.at(r, c) * pa->value.at(r, c);
-        }
+  return MakeNode(std::move(out), {a, b}, [](Node& n, std::size_t p, Matrix&) {
+    // d/da = grad ∘ b, d/db = grad ∘ a.
+    const Matrix& other = n.parents[1 - p]->value;
+    Matrix& g = n.parents[p]->EnsureGrad();
+    for (int r = 0; r < n.grad.rows(); ++r) {
+      for (int c = 0; c < n.grad.cols(); ++c) {
+        g.at(r, c) += n.grad.at(r, c) * other.at(r, c);
       }
     }
   });
@@ -179,10 +265,8 @@ Var Scale(const Var& a, float s) {
   for (int r = 0; r < out.rows(); ++r) {
     for (int c = 0; c < out.cols(); ++c) out.at(r, c) *= s;
   }
-  return MakeNode(std::move(out), {a}, [s](Node& n) {
-    if (n.parents[0]->requires_grad) {
-      n.parents[0]->EnsureGrad().AddScaled(n.grad, s);
-    }
+  return MakeNode(std::move(out), {a}, [s](Node& n, std::size_t, Matrix&) {
+    n.parents[0]->EnsureGrad().AddScaled(n.grad, s);
   });
 }
 
@@ -190,8 +274,7 @@ Var Relu(const Var& a) {
   Matrix out = a->value;
   float* d = out.data();
   for (std::size_t i = 0; i < out.size(); ++i) d[i] = std::max(0.0f, d[i]);
-  return MakeNode(std::move(out), {a}, [](Node& n) {
-    if (!n.parents[0]->requires_grad) return;
+  return MakeNode(std::move(out), {a}, [](Node& n, std::size_t, Matrix&) {
     const float* x = n.parents[0]->value.data();
     const float* g = n.grad.data();
     float* ag = n.parents[0]->EnsureGrad().data();
@@ -209,8 +292,7 @@ Var LeakyRelu(const Var& a, float slope) {
       out.at(r, c) = v > 0.0f ? v : slope * v;
     }
   }
-  return MakeNode(std::move(out), {a}, [slope](Node& n) {
-    if (!n.parents[0]->requires_grad) return;
+  return MakeNode(std::move(out), {a}, [slope](Node& n, std::size_t, Matrix&) {
     Matrix& ag = n.parents[0]->EnsureGrad();
     for (int r = 0; r < n.grad.rows(); ++r) {
       for (int c = 0; c < n.grad.cols(); ++c) {
@@ -227,8 +309,7 @@ Var Tanh(const Var& a) {
   for (int r = 0; r < out.rows(); ++r) {
     for (int c = 0; c < out.cols(); ++c) out.at(r, c) = std::tanh(out.at(r, c));
   }
-  return MakeNode(std::move(out), {a}, [](Node& n) {
-    if (!n.parents[0]->requires_grad) return;
+  return MakeNode(std::move(out), {a}, [](Node& n, std::size_t, Matrix&) {
     Matrix& ag = n.parents[0]->EnsureGrad();
     for (int r = 0; r < n.grad.rows(); ++r) {
       for (int c = 0; c < n.grad.cols(); ++c) {
@@ -244,8 +325,7 @@ Var Exp(const Var& a) {
   for (int r = 0; r < out.rows(); ++r) {
     for (int c = 0; c < out.cols(); ++c) out.at(r, c) = std::exp(out.at(r, c));
   }
-  return MakeNode(std::move(out), {a}, [](Node& n) {
-    if (!n.parents[0]->requires_grad) return;
+  return MakeNode(std::move(out), {a}, [](Node& n, std::size_t, Matrix&) {
     Matrix& ag = n.parents[0]->EnsureGrad();
     for (int r = 0; r < n.grad.rows(); ++r) {
       for (int c = 0; c < n.grad.cols(); ++c) {
@@ -256,13 +336,9 @@ Var Exp(const Var& a) {
 }
 
 Var Softmax(const Var& logits, const Matrix* mask) {
-  Matrix mask_copy = mask != nullptr ? *mask : Matrix();
-  const bool has_mask = mask != nullptr;
   Matrix p = SoftmaxProbs(logits->value, mask);
-  return MakeNode(std::move(p), {logits}, [has_mask, mask_copy](Node& n) {
-    (void)has_mask;
-    (void)mask_copy;  // mask entries already have p = 0, grad flows as 0
-    if (!n.parents[0]->requires_grad) return;
+  // Masked entries already have p = 0, so their gradient flows as 0.
+  return MakeNode(std::move(p), {logits}, [](Node& n, std::size_t, Matrix&) {
     Matrix& ag = n.parents[0]->EnsureGrad();
     for (int r = 0; r < n.grad.rows(); ++r) {
       float dot = 0.0f;
@@ -285,8 +361,8 @@ Var LogSoftmax(const Var& logits, const Matrix* mask) {
     }
   }
   auto probs = std::make_shared<Matrix>(std::move(p));
-  return MakeNode(std::move(out), {logits}, [probs](Node& n) {
-    if (!n.parents[0]->requires_grad) return;
+  return MakeNode(std::move(out), {logits},
+                  [probs](Node& n, std::size_t, Matrix&) {
     Matrix& ag = n.parents[0]->EnsureGrad();
     for (int r = 0; r < n.grad.rows(); ++r) {
       float gsum = 0.0f;
@@ -310,8 +386,7 @@ Var GatherCols(const Var& a, const std::vector<int>& idx) {
   for (int r = 0; r < out.rows(); ++r) {
     out.at(r, 0) = a->value.at(r, idx[static_cast<std::size_t>(r)]);
   }
-  return MakeNode(std::move(out), {a}, [idx](Node& n) {
-    if (!n.parents[0]->requires_grad) return;
+  return MakeNode(std::move(out), {a}, [idx](Node& n, std::size_t, Matrix&) {
     Matrix& ag = n.parents[0]->EnsureGrad();
     for (int r = 0; r < n.grad.rows(); ++r) {
       ag.at(r, idx[static_cast<std::size_t>(r)]) += n.grad.at(r, 0);
@@ -326,8 +401,7 @@ Var GatherRows(const Var& a, const std::vector<int>& rows) {
       out.at(static_cast<int>(i), c) = a->value.at(rows[i], c);
     }
   }
-  return MakeNode(std::move(out), {a}, [rows](Node& n) {
-    if (!n.parents[0]->requires_grad) return;
+  return MakeNode(std::move(out), {a}, [rows](Node& n, std::size_t, Matrix&) {
     Matrix& ag = n.parents[0]->EnsureGrad();
     for (std::size_t i = 0; i < rows.size(); ++i) {
       for (int c = 0; c < n.grad.cols(); ++c) {
@@ -347,30 +421,25 @@ Var ConcatCols(const Var& a, const Var& b) {
     }
   }
   const int acols = a->value.cols();
-  return MakeNode(std::move(out), {a, b}, [acols](Node& n) {
-    const Var& pa = n.parents[0];
-    const Var& pb = n.parents[1];
-    if (pa->requires_grad) {
-      Matrix& ag = pa->EnsureGrad();
-      for (int r = 0; r < n.grad.rows(); ++r) {
-        for (int c = 0; c < acols; ++c) ag.at(r, c) += n.grad.at(r, c);
-      }
-    }
-    if (pb->requires_grad) {
-      Matrix& bg = pb->EnsureGrad();
-      for (int r = 0; r < n.grad.rows(); ++r) {
-        for (int c = 0; c < bg.cols(); ++c) {
-          bg.at(r, c) += n.grad.at(r, acols + c);
-        }
-      }
+  return MakeNode(std::move(out), {a, b},
+                  [acols](Node& n, std::size_t p, Matrix&) {
+    // Parent 0 takes columns [0, acols), parent 1 the rest.
+    Matrix& g = n.parents[p]->EnsureGrad();
+    const int offset = p == 0 ? 0 : acols;
+    for (int r = 0; r < n.grad.rows(); ++r) {
+      for (int c = 0; c < g.cols(); ++c) g.at(r, c) += n.grad.at(r, offset + c);
     }
   });
 }
 
 Var Transpose(const Var& a) {
-  return MakeNode(a->value.Transposed(), {a}, [](Node& n) {
-    if (!n.parents[0]->requires_grad) return;
-    n.parents[0]->EnsureGrad().Add(n.grad.Transposed());
+  return MakeNode(a->value.Transposed(), {a}, [](Node& n, std::size_t,
+                                                  Matrix&) {
+    // In place: the same one add per element as adding gradᵀ.
+    Matrix& ag = n.parents[0]->EnsureGrad();
+    for (int r = 0; r < ag.rows(); ++r) {
+      for (int c = 0; c < ag.cols(); ++c) ag.at(r, c) += n.grad.at(c, r);
+    }
   });
 }
 
@@ -379,8 +448,7 @@ Var Sum(const Var& a) {
   for (int r = 0; r < a->value.rows(); ++r) {
     for (int c = 0; c < a->value.cols(); ++c) out.at(0, 0) += a->value.at(r, c);
   }
-  return MakeNode(std::move(out), {a}, [](Node& n) {
-    if (!n.parents[0]->requires_grad) return;
+  return MakeNode(std::move(out), {a}, [](Node& n, std::size_t, Matrix&) {
     Matrix& ag = n.parents[0]->EnsureGrad();
     const float g = n.grad.at(0, 0);
     for (int r = 0; r < ag.rows(); ++r) {
@@ -412,8 +480,8 @@ Var EntropyOfSoftmax(const Var& logits, const Matrix* mask) {
   }
   out.at(0, 0) = total;
   auto probs = std::make_shared<Matrix>(std::move(p));
-  return MakeNode(std::move(out), {logits}, [probs](Node& n) {
-    if (!n.parents[0]->requires_grad) return;
+  return MakeNode(std::move(out), {logits},
+                  [probs](Node& n, std::size_t, Matrix&) {
     Matrix& ag = n.parents[0]->EnsureGrad();
     const float g = n.grad.at(0, 0);
     for (int r = 0; r < probs->rows(); ++r) {
@@ -431,6 +499,149 @@ Var EntropyOfSoftmax(const Var& logits, const Matrix* mask) {
       }
     }
   });
+}
+
+// ---- Split backward ----------------------------------------------------
+
+SplitBackward::SplitBackward(const Var& root,
+                             const std::vector<Var>& step_losses)
+    : root_(root.get()) {
+  TANGO_CHECK(root != nullptr, "null root");
+  const std::size_t num = step_losses.size();
+  OwnerMap owner;
+  for (std::size_t s = 0; s < num; ++s) {
+    TANGO_CHECK(step_losses[s] != nullptr && Interior(*step_losses[s]),
+                "step loss %zu carries no gradient", s);
+    TANGO_CHECK(owner.emplace(step_losses[s].get(), static_cast<int>(s))
+                    .second,
+                "step loss %zu is listed twice", s);
+  }
+
+  // The chain, and the order the serial walk reaches the steps in: it
+  // walks step subgraphs in the reverse of the order a post-order DFS from
+  // the root first meets their losses.
+  std::vector<Node*> order;
+  std::vector<int> reached;
+  if (Interior(*root)) {
+    const auto [it, fresh] = owner.try_emplace(root.get(), kChain);
+    if (fresh) {
+      GradTopo(root.get(), kChain, owner, reached, order);
+    } else {
+      reached.push_back(it->second);  // the root is itself the one step
+    }
+  }
+  TANGO_CHECK(reached.size() == num,
+              "%zu of %zu step losses are not on the root's gradient path",
+              num - reached.size(), num);
+  chain_.assign(order.rbegin(), order.rend());
+  for (const Node* n : chain_) {
+    for (const Var& p : n->parents) {
+      TANGO_CHECK(!GradLeaf(*p),
+                  "the loss chain adds into a leaf parameter; only step "
+                  "subgraphs may reach leaves");
+    }
+  }
+
+  // Every step's walk, its gradient buffers, and its deferred leaf adds
+  // grouped per parameter in the serial walk's order.
+  std::unordered_map<const Node*, std::size_t> group_of;
+  std::vector<Node*> params;
+  std::vector<std::vector<Node*>> groups;
+  step_begin_.reserve(num + 1);
+  step_begin_.push_back(0);
+  for (auto r = reached.rbegin(); r != reached.rend(); ++r) {
+    order.clear();
+    GradTopo(step_losses[static_cast<std::size_t>(*r)].get(), *r, owner,
+             reached, order);
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+      Node* n = *it;
+      steps_.push_back(n);
+      n->EnsureGrad();
+      for (std::size_t p = 0; p < n->parents.size(); ++p) {
+        Node* parent = n->parents[p].get();
+        if (!parent->requires_grad) continue;
+        if (n->op == Op::kMatMul) {
+          scratch_size_ = std::max(scratch_size_, parent->value.size());
+        }
+        if (!GradLeaf(*parent)) continue;
+        TANGO_CHECK(CanDefer(*n, p),
+                    "an op adds into a leaf parameter through an add it "
+                    "cannot defer; only MatMul's right operand and Add can");
+        const auto [g, fresh] = group_of.try_emplace(parent, groups.size());
+        if (fresh) {
+          parent->EnsureGrad();
+          params.push_back(parent);
+          groups.emplace_back();
+        }
+        groups[g->second].push_back(n);
+      }
+    }
+    step_begin_.push_back(steps_.size());
+  }
+
+  // Tiles: row bands of a parameter, or column bands of a one-row one.
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    Node* param = params[g];
+    const std::size_t begin = deferred_.size();
+    deferred_.insert(deferred_.end(), groups[g].begin(), groups[g].end());
+    const std::size_t end = deferred_.size();
+    const int rows = param->value.rows();
+    const int cols = param->value.cols();
+    if (rows > 1) {
+      const int band = std::max(1, kTileFloats / std::max(1, cols));
+      for (int r0 = 0; r0 < rows; r0 += band) {
+        tiles_.push_back(
+            {param, {r0, std::min(rows, r0 + band), 0, cols}, begin, end});
+      }
+    } else if (rows == 1) {
+      for (int c0 = 0; c0 < cols; c0 += kTileFloats) {
+        tiles_.push_back(
+            {param, {0, 1, c0, std::min(cols, c0 + kTileFloats)}, begin, end});
+      }
+    }
+  }
+}
+
+void SplitBackward::EnsureScratch(const ThreadPool& pool) {
+  const auto slots = static_cast<std::size_t>(pool.concurrency());
+  while (scratch_.size() < slots) {
+    scratch_.emplace_back(1, static_cast<int>(scratch_size_));
+  }
+}
+
+void SplitBackward::RunSteps(ThreadPool& pool) {
+  EnsureScratch(pool);
+  root_->EnsureGrad().Fill(1.0f);
+  Walk(chain_, /*defer_leaves=*/false, scratch_.back());
+  pool.ParallelFor(num_steps(), [this](std::size_t s, int worker) {
+    const std::span<Node* const> walk(steps_.data() + step_begin_[s],
+                                      step_begin_[s + 1] - step_begin_[s]);
+    Walk(walk, /*defer_leaves=*/true,
+         scratch_[static_cast<std::size_t>(worker)]);
+  });
+}
+
+void SplitBackward::Replay(ThreadPool& pool) {
+  EnsureScratch(pool);
+  pool.ParallelFor(tiles_.size(), [this](std::size_t t, int worker) {
+    const Tile& tile = tiles_[t];
+    Matrix& scratch = scratch_[static_cast<std::size_t>(worker)];
+    for (std::size_t i = tile.begin; i < tile.end; ++i) {
+      const Node& n = *deferred_[i];
+      if (n.op == Op::kMatMul) {
+        MatMulGradB(n, tile.param->grad, tile.block, scratch);
+      } else {
+        AddGrad(n, tile.param->grad, tile.block);
+      }
+    }
+  });
+}
+
+void BackwardSteps(const Var& root, const std::vector<Var>& step_losses,
+                   ThreadPool& pool) {
+  SplitBackward split(root, step_losses);
+  split.RunSteps(pool);
+  split.Replay(pool);
 }
 
 }  // namespace tango::nn

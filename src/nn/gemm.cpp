@@ -21,16 +21,23 @@ using V8 = float __attribute__((vector_size(32)));
 
 /// One product: element (i, k) of the left operand is
 /// a[i·row_stride + k·k_stride], so the same body serves a·b (row_stride k,
-/// k_stride 1) and aᵀ·b (row_stride 1, k_stride m).
+/// k_stride 1) and aᵀ·b (row_stride 1, k_stride m). Row k of b starts at
+/// b + k·ldb and row i of out at out + i·ldo, so a block of columns is a
+/// pointer offset.
 struct GemmArgs {
   const float* a;
   std::size_t row_stride;
   std::size_t k_stride;
-  const float* b;  // k×n, row-major
-  float* out;      // m×n, row-major
+  const float* b;  // k×n, rows ldb apart
+  std::size_t ldb;
+  float* out;  // m×n, rows ldo apart
+  std::size_t ldo;
   int m;
   int k;
   int n;
+  /// Sums resume from `out` instead of starting at +0.0f: the caller feeds
+  /// k in consecutive slices, which a float store and reload keep exact.
+  bool resume = false;
 };
 
 /// A row's nonzeros are packed at most this many k at a time, on the stack;
@@ -80,13 +87,13 @@ template <class V, int kVecs>
 [[gnu::always_inline]] inline void GemmBody(const GemmArgs& g) {
   constexpr int kLanes = sizeof(V) / sizeof(float);
   constexpr int kTile = kVecs * kLanes;
-  const auto ldb = static_cast<std::size_t>(g.n);
+  const std::size_t ldb = g.ldb;
   int idx[kChunk];
   float val[kChunk];
   for (int i = 0; i < g.m; ++i) {
-    float* orow = g.out + static_cast<std::size_t>(i) * ldb;
+    float* orow = g.out + static_cast<std::size_t>(i) * g.ldo;
     if (g.k == 0) {
-      std::fill(orow, orow + g.n, 0.0f);
+      if (!g.resume) std::fill(orow, orow + g.n, 0.0f);
       continue;
     }
     const float* arow = g.a + static_cast<std::size_t>(i) * g.row_stride;
@@ -100,7 +107,7 @@ template <class V, int kVecs>
         val[nnz] = a;
         nnz += a != 0.0f ? 1 : 0;
       }
-      const bool first = k0 == 0;
+      const bool first = k0 == 0 && !g.resume;
       if (nnz == 0 && !first) continue;
       int j = 0;
       for (; j + kTile <= g.n; j += kTile) {
@@ -173,19 +180,74 @@ TANGO_HOT void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out,
   TANGO_CHECK(out->rows() == a.rows() && out->cols() == b.cols(),
               "matmul output is %dx%d, want %dx%d", out->rows(), out->cols(),
               a.rows(), b.cols());
-  Run(isa, {a.data(), static_cast<std::size_t>(a.cols()), 1, b.data(),
-            out->data(), a.rows(), a.cols(), b.cols()});
+  const auto n = static_cast<std::size_t>(b.cols());
+  Run(isa, {a.data(), static_cast<std::size_t>(a.cols()), 1, b.data(), n,
+            out->data(), n, a.rows(), a.cols(), b.cols()});
 }
 
 TANGO_HOT void MatMulTransAInto(const Matrix& a, const Matrix& b, Matrix* out,
                                 GemmIsa isa) {
+  MatMulTransABlockInto(a, b, {0, a.cols(), 0, b.cols()}, out, isa);
+}
+
+TANGO_HOT void MatMulTransABlockInto(const Matrix& a, const Matrix& b,
+                                     const GemmBlock& block, Matrix* out,
+                                     GemmIsa isa) {
   TANGO_CHECK(a.rows() == b.rows(), "matmul shape mismatch %dx%d^T * %dx%d",
               a.rows(), a.cols(), b.rows(), b.cols());
-  TANGO_CHECK(out->rows() == a.cols() && out->cols() == b.cols(),
+  TANGO_CHECK(0 <= block.r0 && block.r0 <= block.r1 && block.r1 <= a.cols() &&
+                  0 <= block.c0 && block.c0 <= block.c1 &&
+                  block.c1 <= b.cols(),
+              "block [%d,%d)x[%d,%d) outside a %dx%d product", block.r0,
+              block.r1, block.c0, block.c1, a.cols(), b.cols());
+  TANGO_CHECK(out->rows() == block.r1 - block.r0 &&
+                  out->cols() == block.c1 - block.c0,
               "matmul output is %dx%d, want %dx%d", out->rows(), out->cols(),
-              a.cols(), b.cols());
-  Run(isa, {a.data(), 1, static_cast<std::size_t>(a.cols()), b.data(),
-            out->data(), a.cols(), a.rows(), b.cols()});
+              block.r1 - block.r0, block.c1 - block.c0);
+  Run(isa, {a.data() + block.r0, 1, static_cast<std::size_t>(a.cols()),
+            b.data() + block.c0, static_cast<std::size_t>(b.cols()),
+            out->data(), static_cast<std::size_t>(out->cols()),
+            block.r1 - block.r0, a.rows(), block.c1 - block.c0});
+}
+
+TANGO_HOT void MatMulTransBInto(const Matrix& a, const Matrix& b, Matrix* out,
+                                GemmIsa isa) {
+  TANGO_CHECK(a.cols() == b.cols(), "matmul shape mismatch %dx%d * %dx%d^T",
+              a.rows(), a.cols(), b.rows(), b.cols());
+  TANGO_CHECK(out->rows() == a.rows() && out->cols() == b.rows(),
+              "matmul output is %dx%d, want %dx%d", out->rows(), out->cols(),
+              a.rows(), b.rows());
+  const int k = a.cols();
+  const int n = b.rows();
+  const auto ldo = static_cast<std::size_t>(n);
+  if (k == 0) {
+    out->Fill(0.0f);
+    return;
+  }
+  // bᵀ one block at a time, on the stack: columns [j0, j0 + kBlockCols) of
+  // the output over k in [k0, k0 + kChunk). Later k slices resume their
+  // sums from `out`, which keeps every element's k order.
+  constexpr int kBlockCols = 64;
+  float bt[kChunk * kBlockCols];
+  for (int j0 = 0; j0 < n; j0 += kBlockCols) {
+    const int nb = std::min(kBlockCols, n - j0);
+    for (int k0 = 0; k0 < k; k0 += kChunk) {
+      const int kb = std::min(kChunk, k - k0);
+      for (int jj = 0; jj < nb; ++jj) {
+        const float* brow = b.data() +
+                            static_cast<std::size_t>(j0 + jj) *
+                                static_cast<std::size_t>(k) +
+                            static_cast<std::size_t>(k0);
+        for (int kk = 0; kk < kb; ++kk) {
+          bt[static_cast<std::size_t>(kk) * static_cast<std::size_t>(nb) +
+             static_cast<std::size_t>(jj)] = brow[kk];
+        }
+      }
+      Run(isa, {a.data() + k0, static_cast<std::size_t>(k), 1, bt,
+                static_cast<std::size_t>(nb), out->data() + j0, ldo, a.rows(),
+                kb, nb, /*resume=*/k0 > 0});
+    }
+  }
 }
 
 Matrix SoftmaxProbs(const Matrix& logits, const Matrix* mask) {

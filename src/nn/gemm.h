@@ -50,6 +50,30 @@ TANGO_HOT void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out,
 TANGO_HOT void MatMulTransAInto(const Matrix& a, const Matrix& b,
                                 Matrix* out, GemmIsa isa = ActiveGemmIsa());
 
+/// Rows [r0, r1) × columns [c0, c1) of a product.
+struct GemmBlock {
+  int r0 = 0;
+  int r1 = 0;
+  int c0 = 0;
+  int c1 = 0;
+};
+
+/// One block of aᵀ · b into `out`, which must already be (r1 − r0)×(c1 − c0):
+/// every element bit for bit the one MatMulTransAInto computes, since each
+/// output element is summed on its own. The split backward replays a weight
+/// gradient tile by tile with it.
+TANGO_HOT void MatMulTransABlockInto(const Matrix& a, const Matrix& b,
+                                     const GemmBlock& block, Matrix* out,
+                                     GemmIsa isa = ActiveGemmIsa());
+
+/// out = a · bᵀ without materialising bᵀ: out(i,j) = Σ_k a(i,k)·b(j,k),
+/// with the same skip and order as MatMulInto(a, bᵀ). `out` must already be
+/// a.rows()×b.rows(). bᵀ is transposed block by block into a stack buffer,
+/// so nothing is allocated — MatMul's backward into its left operand runs
+/// on it.
+TANGO_HOT void MatMulTransBInto(const Matrix& a, const Matrix& b,
+                                Matrix* out, GemmIsa isa = ActiveGemmIsa());
+
 /// Row-wise softmax probabilities with optional 0/1 mask; masked entries
 /// get probability exactly 0 and a fully-masked row stays all-zero. The
 /// autograd Softmax, LogSoftmax and entropy ops take their forward values

@@ -40,6 +40,16 @@ class Matrix {
 
   void Fill(float v) { std::fill(data_.begin(), data_.end(), v); }
 
+  /// Reshape to rows×cols keeping the buffer, so a resize within the
+  /// capacity the matrix already has never allocates. Entries are
+  /// unspecified afterwards: this is for scratch that is overwritten.
+  void Resize(int rows, int cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(static_cast<std::size_t>(rows) *
+                 static_cast<std::size_t>(cols));
+  }
+
   /// Xavier/Glorot-uniform initialization, deterministic under `rng`.
   void XavierInit(Rng& rng);
 

@@ -4,9 +4,15 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "nn/gemm.h"
 
 namespace tango::rl {
+
+ThreadPool& LearnerPool() {
+  static ThreadPool pool;  // hardware concurrency − 1 threads + the caller
+  return pool;
+}
 
 using nn::Matrix;
 using nn::Var;
@@ -127,6 +133,8 @@ void A2cAgent::Train(const GraphState& bootstrap_state, bool done) {
   }
 
   Var total_loss;
+  std::vector<Var> step_losses;
+  step_losses.reserve(rollout_.size());
   float policy_loss_acc = 0.0f;
   float value_loss_acc = 0.0f;
   for (std::size_t i = 0; i < rollout_.size(); ++i) {
@@ -163,11 +171,15 @@ void A2cAgent::Train(const GraphState& bootstrap_state, bool done) {
     policy_loss_acc += nn::ScalarValue(pg);
     value_loss_acc += nn::ScalarValue(vloss);
     total_loss = total_loss ? nn::Add(total_loss, loss) : loss;
+    step_losses.push_back(std::move(loss));
   }
   total_loss = nn::Scale(total_loss,
                          1.0f / static_cast<float>(rollout_.size()));
-  nn::Backward(total_loss);
-  opt_->Step();
+  // The steps share only the parameters, so each one's backward runs as a
+  // task on the learner pool, bit for bit Backward(total_loss).
+  ThreadPool& pool = LearnerPool();
+  nn::BackwardSteps(total_loss, step_losses, pool);
+  opt_->Step(&pool);
   ++train_steps_;
   last_policy_loss_ = policy_loss_acc / static_cast<float>(rollout_.size());
   last_value_loss_ = value_loss_acc / static_cast<float>(rollout_.size());

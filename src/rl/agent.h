@@ -17,7 +17,17 @@
 #include "gnn/encoder.h"
 #include "nn/adam.h"
 
+namespace tango {
+class ThreadPool;
+}  // namespace tango
+
 namespace tango::rl {
+
+/// The process-wide pool every A2C update runs on: hardware concurrency − 1
+/// threads plus the updating learner, created at the first update (so a
+/// run's setup never pays for it). Concurrent learners share it; each
+/// update's results are the same whichever threads run it.
+ThreadPool& LearnerPool();
 
 /// A state observation: the global graph G' plus the validity mask c_t.
 struct GraphState {
@@ -52,13 +62,15 @@ struct A2cConfig {
 };
 
 /// Act() runs the taped forward and keeps it as the step's training record;
-/// Train() builds the A2C loss on those records and runs one Backward. The
-/// update draws each step's neighbour sample from the RNG exactly where a
-/// re-run forward would, and reuses the act-time forward when that sample
-/// equals the act-time one (always, unless GraphSAGE samples a node of
-/// degree > p); otherwise it rebuilds the step's forward on the new sample.
-/// Either way the parameters and actions are bit-identical to re-running
-/// every forward at update time.
+/// Train() builds the A2C loss on those records and runs one backward, split
+/// at the per-step losses over LearnerPool() (nn::BackwardSteps), then Adam
+/// on the same pool. The update draws each step's neighbour sample from the
+/// RNG exactly where a re-run forward would, and reuses the act-time forward
+/// when that sample equals the act-time one (always, unless GraphSAGE
+/// samples a node of degree > p); otherwise it rebuilds the step's forward
+/// on the new sample. Either way the parameters and actions are
+/// bit-identical to re-running every forward at update time and to one
+/// serial Backward.
 class A2cAgent : public Agent {
  public:
   explicit A2cAgent(const A2cConfig& cfg);

@@ -218,6 +218,10 @@ Trace GenerateGoogleStyle(const TraceConfig& cfg) {
   // bursts, BE categories rarer but larger ones.
   const double collection_rate =
       (cfg.lc_rps + cfg.be_rps) * clusters / 1e6 / 6.0;  // ~6 req per burst
+  // Each category's services in catalog order, built once: a vector built
+  // per burst was half of a paper-scale set-up's allocations.
+  std::vector<ServiceId> pools[2];
+  for (const auto& s : specs) pools[s.is_lc() ? 1 : 0].push_back(s.id);
   Trace trace;
   double t = 0.0;
   const double dmax = static_cast<double>(cfg.duration);
@@ -227,11 +231,7 @@ Trace GenerateGoogleStyle(const TraceConfig& cfg) {
     // LatencySensitivity: tiers 2-3 (LC) are ~lc_rps/(lc+be) of requests.
     const double lc_share = cfg.lc_rps / std::max(1e-9, cfg.lc_rps + cfg.be_rps);
     const bool lc = rng.NextDouble() < lc_share;
-    std::vector<ServiceId> pool;
-    for (const auto& s : specs) {
-      if (s.is_lc() == lc) pool.push_back(s.id);
-    }
-    const ServiceId service = PickService(pool, rng);
+    const ServiceId service = PickService(pools[lc ? 1 : 0], rng);
     const int burst =
         static_cast<int>(lc ? rng.UniformInt(3, 9) : rng.UniformInt(2, 6));
     const ClusterId origin = PickOrigin(cfg, rng);

@@ -2,9 +2,12 @@
 // HRM (§4.1 regulations), and the CERES baseline — plus the memory-
 // allocation discipline of the hot paths under a process-wide counting
 // operator new: the storm generators, a steady-state DSS-LC round, the
-// state storage's sync/read path and a whole system's state sync.
+// state storage's sync/read path, a whole system's state sync, and the
+// pool threads of an A2C update.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -15,6 +18,7 @@
 #include "k8s/allocation.h"
 #include "k8s/system.h"
 #include "metrics/state_storage.h"
+#include "rl/agent.h"
 #include "sched/be_baselines.h"
 #include "sched/ceres.h"
 #include "sched/dss_lc.h"
@@ -25,17 +29,22 @@
 // TU-global counting operator new: this binary's strongest-scope version of
 // the alloc_events counter pattern (flow::MinCostMaxFlow, sim::Simulator).
 // Every heap allocation in the process bumps the counter, so a snapshot
-// taken around a hot loop proves the loop allocation-free.
-static std::int64_t g_alloc_events = 0;
+// taken around a hot loop proves the loop allocation-free. The per-thread
+// count tells the calling thread's allocations from everyone else's: the
+// pool threads', in a test that fans out.
+static std::atomic<std::int64_t> g_alloc_events{0};
+static thread_local std::int64_t t_alloc_events = 0;
 
 void* operator new(std::size_t size) {
-  ++g_alloc_events;
+  g_alloc_events.fetch_add(1, std::memory_order_relaxed);
+  ++t_alloc_events;
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new(std::size_t size, std::align_val_t align) {
-  ++g_alloc_events;
+  g_alloc_events.fetch_add(1, std::memory_order_relaxed);
+  ++t_alloc_events;
   void* p = nullptr;
   if (posix_memalign(&p, static_cast<std::size_t>(align),
                      size == 0 ? 1 : size) != 0) {
@@ -43,12 +52,22 @@ void* operator new(std::size_t size, std::align_val_t align) {
   }
   return p;
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+// Out of line: inlined into a delete expression, the free() would look to
+// GCC's -Wmismatched-new-delete like a free of a `new` pointer, although
+// this file's operator new is malloc underneath.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t,
+                                       std::align_val_t) noexcept {
   std::free(p);
 }
 
@@ -495,6 +514,54 @@ TEST(SyncAllocation, SteadyStateSyncOnBusySystemAllocatesNothing) {
     sys.ClearLinkFault(ClusterId{0}, ClusterId{1});
     EXPECT_EQ(g_alloc_events - before, 0) << "sync at " << at;
     EXPECT_GT(pushes.value(), pushed) << "sync at " << at;
+  }
+}
+
+TEST(BackwardStepsAllocation, PoolThreadsAllocateNothingInASteadyUpdate) {
+  // The paper-default learner on paper_dual's shape: 104 cluster
+  // pseudo-nodes in a ring. The updating thread allocates every gradient
+  // buffer and scratch matrix before the fan-out, so after one warm-up
+  // update the pool threads (the step walks, the replay, Adam) allocate
+  // nothing: no pool thread grows a malloc arena of its own.
+  rl::A2cConfig cfg;
+  rl::A2cAgent agent(cfg);
+  constexpr int kNodes = 104;
+  std::vector<std::vector<int>> ring(kNodes);
+  for (int i = 0; i < kNodes; ++i) {
+    ring[static_cast<std::size_t>(i)] = {(i + kNodes - 1) % kNodes,
+                                         (i + 1) % kNodes};
+    std::sort(ring[static_cast<std::size_t>(i)].begin(),
+              ring[static_cast<std::size_t>(i)].end());
+  }
+  Rng env(41);
+  auto state = [&] {
+    rl::GraphState s;
+    s.graph.features = nn::Matrix(kNodes, cfg.feature_dim);
+    for (int i = 0; i < kNodes; ++i) {
+      for (int f = 0; f < cfg.feature_dim; ++f) {
+        s.graph.features.at(i, f) = static_cast<float>(env.NextDouble());
+      }
+    }
+    s.graph.adj = ring;
+    return s;
+  };
+  for (int update = 0; update < 2; ++update) {
+    for (int t = 0; t + 1 < cfg.train_interval; ++t) {
+      agent.Act(state());
+      agent.Observe(0.1f, state(), false);
+    }
+    agent.Act(state());
+    const rl::GraphState next = state();
+    const std::int64_t total_before = g_alloc_events.load();
+    const std::int64_t mine_before = t_alloc_events;
+    agent.Observe(0.1f, next, false);  // the interval's last step trains
+    const std::int64_t mine = t_alloc_events - mine_before;
+    const std::int64_t others = g_alloc_events.load() - total_before - mine;
+    ASSERT_EQ(agent.train_steps(), update + 1);
+    EXPECT_GT(mine, 0);  // the update's tape and buffers, on the caller
+    if (update == 1) {
+      EXPECT_EQ(others, 0) << "pool threads allocated";
+    }
   }
 }
 

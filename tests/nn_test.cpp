@@ -1,5 +1,6 @@
 // Tests for the autograd engine: every op is verified against numerical
-// (finite-difference) gradients, plus Adam convergence and module plumbing.
+// (finite-difference) gradients, plus Adam convergence, module plumbing,
+// the GEMM kernel's exactness and the split backward against Backward.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -9,8 +10,10 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "nn/adam.h"
 #include "nn/autograd.h"
 #include "nn/gemm.h"
@@ -438,7 +441,35 @@ void CheckKernelAgainstNaive(GemmIsa isa) {
     if (k > 1) PoisonBehindZero(&at, &bt, poisoned, /*transposed=*/true);
     Matrix out_t(m, n, std::numeric_limits<float>::quiet_NaN());
     MatMulTransAInto(at, bt, &out_t, isa);
-    ExpectSameBits(NaiveMatMul(NaiveTranspose(at), bt), out_t, what + " aT*b");
+    const Matrix want_t = NaiveMatMul(NaiveTranspose(at), bt);
+    ExpectSameBits(want_t, out_t, what + " aT*b");
+
+    // One random block of aᵀ·b: the same elements as the full product.
+    GemmBlock block;
+    block.r0 = static_cast<int>(rng.UniformInt(0, m - 1));
+    block.r1 = static_cast<int>(rng.UniformInt(block.r0 + 1, m));
+    block.c0 = static_cast<int>(rng.UniformInt(0, n - 1));
+    block.c1 = static_cast<int>(rng.UniformInt(block.c0 + 1, n));
+    Matrix out_block(block.r1 - block.r0, block.c1 - block.c0,
+                     std::numeric_limits<float>::quiet_NaN());
+    MatMulTransABlockInto(at, bt, block, &out_block, isa);
+    Matrix want_block(out_block.rows(), out_block.cols());
+    for (int r = block.r0; r < block.r1; ++r) {
+      for (int c = block.c0; c < block.c1; ++c) {
+        want_block.at(r - block.r0, c - block.c0) = want_t.at(r, c);
+      }
+    }
+    ExpectSameBits(want_block, out_block, what + " aT*b block");
+
+    // a·bᵀ: b is n×k; the poison sits in column k of b, behind a zero
+    // column of a.
+    Matrix ab = SparseOperand(m, k, rng);
+    Matrix bb_t = RandomMatrix(k, n, rng);  // bᵀ
+    if (k > 1) PoisonBehindZero(&ab, &bb_t, poisoned, /*transposed=*/false);
+    const Matrix bb = NaiveTranspose(bb_t);
+    Matrix out_b(m, n, std::numeric_limits<float>::quiet_NaN());
+    MatMulTransBInto(ab, bb, &out_b, isa);
+    ExpectSameBits(NaiveMatMul(ab, bb_t), out_b, what + " a*bT");
   }
 }
 
@@ -472,6 +503,16 @@ TEST(Gemm, MatchesNaiveExactlyAcrossShapes) {
     const Matrix c = RandomMatrix(s[0], s[2], rng);
     ExpectSameBits(NaiveMatMul(a.Transposed(), c), a.TransposedMatMul(c),
                    "TransposedMatMul");
+    // a·bᵀ, MatMul's backward into its left operand, on both variants.
+    const Matrix bt = b.Transposed();
+    for (const GemmIsa isa : {GemmIsa::kBaseline, GemmIsa::kAvx2}) {
+      if (!GemmIsaSupported(isa)) continue;
+      Matrix out(a.rows(), bt.rows());
+      MatMulTransBInto(a, bt, &out, isa);
+      ExpectSameBits(NaiveMatMul(a, b), out,
+                     "MatMulTransBInto isa " +
+                         std::to_string(static_cast<int>(isa)));
+    }
   }
 }
 
@@ -485,6 +526,159 @@ TEST(Gemm, SoftmaxProbsIsTheTapedSoftmaxForward) {
   ExpectSameBits(taped->value, SoftmaxProbs(logits, &mask), "masked");
   const Var unmasked = Softmax(Constant(logits), nullptr);
   ExpectSameBits(unmasked->value, SoftmaxProbs(logits, nullptr), "unmasked");
+}
+
+// ---- Split backward (BackwardSteps) ---------------------------------------
+
+/// A seeded multi-step tape shaped like an A2C update. Per step: a sparse
+/// input through two ReLU layers (MatMul right-operand weights, broadcast
+/// bias Adds), the second weight used a second time in the same step, a
+/// mean-pooled critic head with a same-shape bias Add, and masked
+/// LogSoftmax, value and entropy losses; the step losses are chained by Add
+/// and averaged.
+struct StepsTape {
+  Var root;
+  std::vector<Var> steps;
+};
+
+StepsTape BuildStepsTape(std::uint64_t seed, int num_steps) {
+  Rng rng(seed);
+  constexpr int kIn = 9;
+  constexpr int kHidden = 24;
+  const Var w1 = Parameter(RandomMatrix(kIn, kHidden, rng));
+  const Var b1 = Parameter(RandomMatrix(1, kHidden, rng));
+  const Var w2 = Parameter(RandomMatrix(kHidden, kHidden, rng, 0.5f));
+  const Var b2 = Parameter(RandomMatrix(1, kHidden, rng));
+  const Var wa = Parameter(RandomMatrix(kHidden, 1, rng));
+  const Var wc = Parameter(RandomMatrix(kHidden, 1, rng));
+  const Var bc = Parameter(RandomMatrix(1, 1, rng));
+  StepsTape t;
+  for (int s = 0; s < num_steps; ++s) {
+    const int m = static_cast<int>(rng.UniformInt(3, 40));
+    const Var x = Constant(SparseOperand(m, kIn, rng));
+    const Var h1 = Relu(Add(MatMul(x, w1), b1));
+    const Var h2 = Relu(Add(MatMul(h1, w2), b2));
+    const Var h3 = Relu(MatMul(h2, w2));
+    const Var logits = Transpose(MatMul(h3, wa));  // 1×m
+    const Var pooled =
+        MatMul(Constant(Matrix(1, m, 1.0f / static_cast<float>(m))), h2);
+    const Var value = Add(MatMul(pooled, wc), bc);  // 1×1 + 1×1
+    Matrix mask(1, m, 1.0f);
+    for (int i = 1; i < m; ++i) {
+      if (rng.UniformInt(0, 3) == 0) mask.at(0, i) = 0.0f;
+    }
+    int action = static_cast<int>(rng.UniformInt(0, m - 1));
+    while (mask.at(0, action) == 0.0f) action = (action + 1) % m;
+    const float advantage = static_cast<float>(rng.Uniform(-1.0, 1.0));
+    const Var pg = Scale(GatherCols(LogSoftmax(logits, &mask), {action}),
+                         -advantage);
+    const Var diff = Sub(value, Constant(Matrix(1, 1, 0.25f)));
+    const Var vloss = Scale(Mul(diff, diff), 0.5f);
+    const Var ent = Scale(EntropyOfSoftmax(logits, &mask), -0.01f);
+    Var loss = Add(Add(pg, vloss), ent);
+    t.root = t.root ? Add(t.root, loss) : loss;
+    t.steps.push_back(std::move(loss));
+  }
+  t.root = Scale(t.root, 1.0f / static_cast<float>(num_steps));
+  return t;
+}
+
+/// Every node under `root` (parameters and step nodes alike), in DFS order.
+std::vector<Var> AllNodes(const Var& root) {
+  std::vector<Var> out;
+  std::unordered_set<const Node*> seen;
+  std::vector<Var> stack{root};
+  while (!stack.empty()) {
+    Var v = stack.back();
+    stack.pop_back();
+    if (!seen.insert(v.get()).second) continue;
+    out.push_back(v);
+    for (const Var& p : v->parents) stack.push_back(p);
+  }
+  return out;
+}
+
+/// Every gradient of tape `got` bitwise equal to tape `want`'s, including
+/// which nodes have none.
+void ExpectSameGrads(const Var& want, const Var& got, const std::string& what) {
+  const std::vector<Var> a = AllNodes(want);
+  const std::vector<Var> b = AllNodes(got);
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i]->grad.SameShape(a[i]->value),
+              b[i]->grad.SameShape(b[i]->value))
+        << what << " node " << i;
+    ExpectSameBits(a[i]->grad, b[i]->grad,
+                   what + " node " + std::to_string(i));
+  }
+}
+
+TEST(BackwardSteps, MatchesBackwardBitForBitSerialAndPooled) {
+  ThreadPool serial(1);
+  serial.Shutdown();  // one slot: every task on the caller
+  ThreadPool pool(3);
+  for (const int num_steps : {1, 5, 16}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const std::string what = std::to_string(num_steps) + " steps seed " +
+                               std::to_string(seed);
+      const StepsTape oracle = BuildStepsTape(seed, num_steps);
+      const StepsTape one_slot = BuildStepsTape(seed, num_steps);
+      const StepsTape pooled = BuildStepsTape(seed, num_steps);
+      // Twice each, without zeroing: the second pass adds onto the first
+      // one's gradients, the documented accumulate contract.
+      for (int pass = 0; pass < 2; ++pass) {
+        Backward(oracle.root);
+        BackwardSteps(one_slot.root, one_slot.steps, serial);
+        BackwardSteps(pooled.root, pooled.steps, pool);
+      }
+      ExpectSameGrads(oracle.root, one_slot.root, what + " one slot");
+      ExpectSameGrads(oracle.root, pooled.root, what + " pool");
+    }
+  }
+}
+
+TEST(BackwardSteps, PlansOneWalkPerStepAndTilesEveryParameter) {
+  const StepsTape t = BuildStepsTape(9, 6);
+  const SplitBackward split(t.root, t.steps);
+  EXPECT_EQ(split.num_steps(), 6u);
+  // w1 (9×24), w2 (24×24) and wa/wc (24×1) take one row band each at
+  // these sizes; b1, b2 and bc one column band.
+  EXPECT_EQ(split.num_tiles(), 7u);
+}
+
+TEST(BackwardStepsDeathTest, StepReachingAnotherStepsNodeFails) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Rng rng(3);
+  const Var w = Parameter(RandomMatrix(4, 4, rng));
+  const Var shared = Relu(MatMul(Constant(RandomMatrix(2, 4, rng)), w));
+  const Var first = Sum(shared);
+  const Var second = Sum(Relu(shared));  // reaches into the first step
+  const Var root = Add(first, second);
+  ThreadPool pool(2);
+  EXPECT_DEATH(BackwardSteps(root, {first, second}, pool),
+               "reaches a node of another step");
+}
+
+TEST(BackwardStepsDeathTest, LeafBehindAnOpThatCannotDeferFails) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Rng rng(4);
+  const Var w = Parameter(RandomMatrix(3, 3, rng));
+  const Var x = Constant(RandomMatrix(3, 3, rng));
+  const Var first = Sum(Mul(w, x));  // Mul adds into w directly
+  const Var second = Sum(MatMul(x, w));
+  ThreadPool pool(2);
+  EXPECT_DEATH(BackwardSteps(Add(first, second), {first, second}, pool),
+               "cannot defer");
+}
+
+TEST(BackwardStepsDeathTest, LossChainAddingIntoALeafFails) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Rng rng(5);
+  const Var w = Parameter(RandomMatrix(2, 2, rng));
+  const Var step = Sum(MatMul(Constant(RandomMatrix(2, 2, rng)), w));
+  const Var root = Add(step, Sum(w));  // the chain's Sum reaches w
+  ThreadPool pool(2);
+  EXPECT_DEATH(BackwardSteps(root, {step}, pool), "loss chain adds into");
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "nn/gemm.h"
@@ -338,6 +339,22 @@ INSTANTIATE_TEST_SUITE_P(
         LearnerPin{gnn::EncoderKind::kNative, 104, 1, 0x2d248ef6aeecd650ULL},
         LearnerPin{gnn::EncoderKind::kNative, 4, 6, 0x3789ff62debac4b3ULL}),
     PinName);
+
+TEST(A2cAgent, ConcurrentLearnersOnTheSharedPoolReproduceTheirPins) {
+  // Two learners update at the same time on the one learner pool, as
+  // concurrent experiments do; each must still land on its recorded pin.
+  LearnerRun sage;
+  LearnerRun gcn;
+  std::thread a([&sage] {
+    sage = RunLearner(gnn::EncoderKind::kGraphSage, ClusterGraph(104, 1));
+  });
+  std::thread b(
+      [&gcn] { gcn = RunLearner(gnn::EncoderKind::kGcn, ClusterGraph(4, 6)); });
+  a.join();
+  b.join();
+  EXPECT_EQ(sage.digest, 0x07aa0f2f9657f68cULL);
+  EXPECT_EQ(gcn.digest, 0x4ea15b81d60bd2e1ULL);
+}
 
 TEST(A2cAgent, UpdateReusesTheActTimeForward) {
   // On the ring nothing is sampled, so the update must train on the 16

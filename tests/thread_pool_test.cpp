@@ -1,10 +1,13 @@
 // ThreadPool: fan-out coverage, worker-slot ranges, exception propagation,
-// and shutdown edge cases (the parallel scheduling core rides on these).
+// concurrent callers, and shutdown edge cases (the sharded engine, the
+// experiment fan-out and the A2C learner ride on these).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -55,6 +58,76 @@ TEST(ThreadPool, ManySmallBatchesInSequence) {
     });
     EXPECT_EQ(sum.load(), 120);
   }
+}
+
+TEST(ThreadPool, ConcurrentCallersEachCompleteTheirBatch) {
+  // Four threads share one pool, as concurrent experiments share the
+  // learner pool. Each batch must run every item exactly once and be
+  // complete when its caller's ParallelFor returns.
+  ThreadPool pool(3);
+  constexpr int kCallers = 4;
+  constexpr int kBatches = 200;
+  std::atomic<int> bad{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&pool, &bad, c] {
+      for (int r = 0; r < kBatches; ++r) {
+        const std::size_t n = 1 + static_cast<std::size_t>((r * 7 + c) % 40);
+        std::vector<std::atomic<int>> hits(n);
+        pool.ParallelFor(n, [&](std::size_t i, int worker) {
+          if (worker < 0 || worker > pool.size()) bad.fetch_add(1);
+          hits[i].fetch_add(1);
+        });
+        for (const auto& h : hits) {
+          if (h.load() != 1) bad.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(bad.load(), 0);
+}
+
+TEST(ThreadPool, CallerDoesNotWaitForAnotherCallersBatch) {
+  // Batch A occupies every pool thread until `release`. Batch B, from
+  // another thread, must finish on its own caller and return while A still
+  // holds the pool threads.
+  ThreadPool pool(2);
+  std::atomic<bool> release{false};
+  std::atomic<int> started{0};
+  const std::size_t a_items = static_cast<std::size_t>(pool.concurrency());
+  std::thread a([&] {
+    pool.ParallelFor(a_items, [&](std::size_t, int) {
+      started.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (started.load() < static_cast<int>(a_items) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  if (started.load() != static_cast<int>(a_items)) {
+    release.store(true);
+    a.join();
+    FAIL() << "batch A never held every slot";
+  }
+  std::atomic<bool> b_returned{false};
+  std::atomic<int> b_items{0};
+  std::thread b([&] {
+    pool.ParallelFor(16, [&](std::size_t, int) { b_items.fetch_add(1); });
+    b_returned.store(true);
+  });
+  while (!b_returned.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  const bool returned_while_a_ran = b_returned.load();
+  release.store(true);  // never leave A's threads spinning
+  a.join();
+  b.join();
+  EXPECT_TRUE(returned_while_a_ran);
+  EXPECT_EQ(b_items.load(), 16);
 }
 
 TEST(ThreadPool, FirstExceptionPropagatesAndPoolSurvives) {

@@ -3,11 +3,13 @@
 # configure, an ASan+UBSan configure (-DTANGO_SANITIZE=ON), a TSan
 # configure (-DTANGO_TSAN=ON) that runs only the concurrency-touching tests
 # (thread pool, MCMF reuse, harness fan-out, TangoScope emission, sharded
-# engine), a TangoAudit configure (-DTANGO_AUDIT=ON) that runs the full
-# suite plus the perf_sched and perf_sim smokes with every runtime invariant
-# checker live, a TangoScope configure (-DTANGO_SCOPE=ON) that runs the
-# full suite plus a traced chaos_demo whose exported Chrome trace must
-# parse as JSON, and a UBSan-only configure (-DTANGO_UBSAN=ON) that runs
+# engine, and the A2C learner's split backward on the shared learner pool:
+# LearnerPins, A2cAgent, BackwardSteps), a TangoAudit configure
+# (-DTANGO_AUDIT=ON) that runs the full suite plus the perf_sched and
+# perf_sim smokes with every runtime invariant checker live, a TangoScope
+# configure (-DTANGO_SCOPE=ON) that runs the full suite plus a traced
+# chaos_demo whose exported Chrome trace must parse as JSON, and a
+# UBSan-only configure (-DTANGO_UBSAN=ON) that runs
 # the full suite without ASan's shadow memory. The no-build gates: `lint`
 # runs tools/lint.py plus its fixture regression suite, `vet` runs the
 # TangoVet static analyzer (tools/vet) over src/ plus its fixture
@@ -88,8 +90,11 @@ if [[ "$what" == "all" || "$what" == "tsan" ]]; then
   # TSan is ~10x slower, so restrict it to the tests that exercise the
   # threaded paths; the plain/sanitize configs already cover the rest.
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
+  # LearnerPins, A2cAgent and BackwardSteps drive the A2C update's step
+  # fan-out, parameter replay and Adam tiles on the learner pool, two
+  # learners at once included.
   run_config tsan "$repo_root/build-tsan" \
-    -R 'ThreadPool|DssLc|McmfReuse|Harness|Experiment|Scope|Shard|Mailbox' \
+    -R 'ThreadPool|DssLc|McmfReuse|Harness|Experiment|Scope|Shard|Mailbox|LearnerPins|A2cAgent|BackwardSteps' \
     -DTANGO_TSAN=ON -DTANGO_SCOPE=ON
   # The sharded engine's epoch fan-out under TSan: the mailbox exchange and
   # the per-shard slabs are the only cross-thread surfaces, and the smoke

@@ -7,8 +7,6 @@
 //   * native fixed — static per-service container fractions.
 // The paper's argument: horizontal scaling is too slow for millisecond-level
 // LC services, and fixed allocation wastes the co-location opportunity.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
 #include "k8s/autoscalers.h"
 
@@ -96,26 +94,14 @@ void Report(const std::vector<Row>& rows) {
                     rows[0].summary.mean_util > rows[2].summary.mean_util);
 }
 
-void BM_AblAutoscalers_Hrm(benchmark::State& state) {
-  const auto trace = BurstTrace();
-  for (auto _ : state) {
-    const Row r = RunMechanism("HRM/D-VPA", trace);
-    benchmark::DoNotOptimize(r.summary.qos_satisfaction);
-  }
-}
-BENCHMARK(BM_AblAutoscalers_Hrm)->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   const auto trace = BurstTrace();
   std::vector<Row> rows;
   rows.push_back(RunMechanism("HRM/D-VPA", trace));
   rows.push_back(RunMechanism("K8s HPA", trace));
   rows.push_back(RunMechanism("native fixed", trace));
   Report(rows);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

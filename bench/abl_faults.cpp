@@ -7,8 +7,6 @@
 // Tango's DSS-LC excludes dead/unreachable workers from its flow graph and
 // the BE path restarts evicted work, while the k8s-native dispatchers keep
 // routing into the hole until requests age out.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
 #include "eval/export.h"
 #include "fault/fault_script.h"
@@ -126,22 +124,9 @@ void Run() {
   std::printf("\nwrote /tmp/tango_abl_faults{,_timeline}.csv\n");
 }
 
-void BM_AblFaults_OneRun(benchmark::State& state) {
-  const auto trace = bench::MixedTrace(4, 120.0, 15.0, kDuration, 71);
-  const auto script = ChaosScript();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        RunKind(framework::FrameworkKind::kTango, trace, script));
-  }
-}
-BENCHMARK(BM_AblFaults_OneRun)->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   Run();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -13,8 +13,6 @@
 // arrival ordering, interference-off exact equality, monotone inflation)
 // and exits 1 on any violation without writing anything — wired into
 // tools/check.sh and CI.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstring>
@@ -260,20 +258,6 @@ int Smoke() {
   return ok ? 0 : 1;
 }
 
-void BM_AblScenarios_OneRun(benchmark::State& state) {
-  const auto cfg = ScenarioCfg(kHorizon, 42);
-  const auto bundle = eval::BuildScenarioBundle(
-      storm::ScenarioKind::kSteady, cfg, eval::PhysicalClusters(kClusters));
-  const auto job = MakeJob(storm::ScenarioKind::kSteady, bundle,
-                           framework::FrameworkKind::kTango, nullptr);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        eval::RunExperiment(job.cfg, job.install, bench::Catalog()));
-  }
-}
-BENCHMARK(BM_AblScenarios_OneRun)->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -281,7 +265,5 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) return Smoke();
   }
   Run();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -4,8 +4,6 @@
 // share one priority) and notes ρ is pluggable. This sweep compares random,
 // FIFO, and deadline-aware ordering under sustained overload, where the
 // split decides who waits in Ĝ'_k.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
 #include "sched/dss_lc.h"
 
@@ -79,21 +77,9 @@ void Run() {
                         rows[0].summary.qos_satisfaction - 0.02);
 }
 
-void BM_AblSplit_Random(benchmark::State& state) {
-  const auto trace = bench::MixedTrace(3, 260.0, 10.0, kDuration, 97,
-                                       workload::Pattern::kP3, 0.8);
-  for (auto _ : state) {
-    const Row r = RunPolicy(sched::SplitPolicy::kRandom, trace);
-    benchmark::DoNotOptimize(r.summary.qos_satisfaction);
-  }
-}
-BENCHMARK(BM_AblSplit_Random)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   Run();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -4,8 +4,6 @@
 // period and shows how DSS-LC's local commitment tracking keeps it robust
 // where a plain load-greedy dispatcher herd-collapses onto stale "idle"
 // nodes.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
 
 using namespace tango;
@@ -63,23 +61,9 @@ void Run() {
                         dss[2] > greedy[2]);
 }
 
-void BM_AblStaleness_OneRun(benchmark::State& state) {
-  const auto trace =
-      bench::MixedTrace(4, 150.0, 15.0, kDuration, 91,
-                        workload::Pattern::kP3, 0.75);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RunWithPeriod(framework::LcAlgo::kDssLc,
-                                           500 * kMillisecond, trace));
-  }
-}
-BENCHMARK(BM_AblStaleness_OneRun)->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   Run();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

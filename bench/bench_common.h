@@ -183,11 +183,12 @@ inline std::vector<eval::ExperimentResult> RunPairSeeds(
   return eval::RunExperiments(jobs, Catalog(), num_threads);
 }
 
-/// Print a "paper vs measured" check line.
-inline void PaperCheck(const char* what, const char* paper,
+/// Print a "paper vs measured" check line; returns `holds`.
+inline bool PaperCheck(const char* what, const char* paper,
                        const std::string& measured, bool holds) {
   std::printf("  [%s] %-46s paper: %-34s measured: %s\n",
               holds ? "ok" : "!!", what, paper, measured.c_str());
+  return holds;
 }
 
 inline std::vector<double> UtilSeries(const eval::ExperimentResult& r) {

@@ -7,8 +7,6 @@
 // We regenerate the shape by replaying a 24-hour diurnal trace (compressed
 // into 120 s of virtual time) through an LC-only deployment provisioned for
 // peak load, under plain Kubernetes.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
 
 using namespace tango;
@@ -91,20 +89,9 @@ void Report(const Fig1Result& r) {
                     r.mean_latency_ms > 30.0 && r.mean_latency_ms < 350.0);
 }
 
-void BM_Fig01_DiurnalReplay(benchmark::State& state) {
-  for (auto _ : state) {
-    const Fig1Result r = RunFig1();
-    benchmark::DoNotOptimize(r.mean_util);
-  }
-}
-BENCHMARK(BM_Fig01_DiurnalReplay)->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   Report(RunFig1());
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -5,8 +5,6 @@
 // default K8s scheduling policy for both classes (the paper's setup). HRM
 // should (b) let BE soak up idle resources and yield them to LC bursts, and
 // (d) raise overall utilization; native's fixed allocation (c) cannot.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
 
 using namespace tango;
@@ -100,19 +98,9 @@ std::vector<PatternRow>& Cached() {
   return rows;
 }
 
-void BM_Fig09_PatternP3(benchmark::State& state) {
-  for (auto _ : state) {
-    const PatternRow row = RunPattern(workload::Pattern::kP3);
-    benchmark::DoNotOptimize(row.with_hrm.summary.mean_util);
-  }
-}
-BENCHMARK(BM_Fig09_PatternP3)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   Report(Cached());
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -3,8 +3,6 @@
 // Tango (HRM + DSS-LC + DCG-BE) runs with the re-assurance mechanism on and
 // off; the paper reports normalized LC QoS-guarantee satisfaction and BE
 // throughput, with the mechanism improving the system objective.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
 
 using namespace tango;
@@ -71,24 +69,13 @@ void Report(const std::vector<Row>& rows) {
   }
 }
 
-void BM_Fig10_ReassuranceP3(benchmark::State& state) {
-  for (auto _ : state) {
-    const Row row = RunPattern(workload::Pattern::kP3);
-    benchmark::DoNotOptimize(row.on.summary.qos_satisfaction);
-  }
-}
-BENCHMARK(BM_Fig10_ReassuranceP3)->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   std::vector<Row> rows;
   rows.push_back(RunPattern(workload::Pattern::kP1));
   rows.push_back(RunPattern(workload::Pattern::kP2));
   rows.push_back(RunPattern(workload::Pattern::kP3));
   Report(rows);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

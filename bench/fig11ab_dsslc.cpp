@@ -3,8 +3,6 @@
 // BE scheduling is fixed to k8s-native (the paper's setup); all runs use
 // HRM. Metrics: (a) normalized LC QoS-guarantee satisfaction over time;
 // (b) average latency and number of abandoned requests (normalized).
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
 
 using namespace tango;
@@ -92,23 +90,9 @@ void Report(const std::vector<AlgoRun>& runs) {
               runs[0].result.lc_decision_ms_avg);
 }
 
-void BM_Fig11a_DssLcRun(benchmark::State& state) {
-  const workload::Trace trace =
-      bench::MixedTrace(4, 200.0, 15.0, kDuration, 51, workload::Pattern::kP3, 0.75);
-  for (auto _ : state) {
-    const auto r = bench::RunPair(trace, 4, framework::LcAlgo::kDssLc,
-                                  framework::BeAlgo::kK8sNative, true,
-                                  kDuration + 10 * kSecond);
-    benchmark::DoNotOptimize(r.summary.qos_satisfaction);
-  }
-}
-BENCHMARK(BM_Fig11a_DssLcRun)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   Report(RunAll());
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -5,8 +5,6 @@
 // quality shows up as long-term throughput. Paper shape: the three
 // load-aware schedulers beat blind round-robin; DCG-BE ends highest
 // (+9.3 % over GNN-SAC in the paper).
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
 
 using namespace tango;
@@ -96,19 +94,9 @@ void Report(const std::vector<Run>& runs) {
                     dcg >= sac && dcg >= greedy && dcg >= native);
 }
 
-void BM_Fig11c_DcgBeRun(benchmark::State& state) {
-  const auto trace = Trace();
-  const auto clusters = Clusters();
-  for (auto _ : state) {
-    const Run r = RunOne(framework::BeAlgo::kDcgBe, trace, clusters);
-    benchmark::DoNotOptimize(r.result.summary.be_throughput);
-  }
-}
-BENCHMARK(BM_Fig11c_DcgBeRun)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   const auto trace = Trace();
   const auto clusters = Clusters();
   std::vector<Run> runs;
@@ -118,7 +106,5 @@ int main(int argc, char** argv) {
     runs.push_back(RunOne(algo, trace, clusters));
   }
   Report(runs);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -4,8 +4,6 @@
 // GraphSAGE (the paper's choice), GCN, GAT, and no GNN at all ("Native-A2C").
 // Paper shape: GraphSAGE-A2C ends highest; the native encoder trails the
 // graph-aware ones.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
 #include "rl/agent.h"
 
@@ -208,20 +206,9 @@ void Report(const std::vector<Run>& runs) {
                     p_sage > probes[3].final_reward);
 }
 
-void BM_Fig11d_GraphSageRun(benchmark::State& state) {
-  const auto trace = MakeTrace();
-  const auto clusters = Clusters();
-  for (auto _ : state) {
-    const Run r = RunOne(gnn::EncoderKind::kGraphSage, trace, clusters);
-    benchmark::DoNotOptimize(r.result.summary.be_throughput);
-  }
-}
-BENCHMARK(BM_Fig11d_GraphSageRun)->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   const auto trace = MakeTrace();
   const auto clusters = Clusters();
   std::vector<Run> runs;
@@ -238,7 +225,5 @@ int main(int argc, char** argv) {
     runs.push_back(std::move(a));
   }
   Report(runs);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -5,8 +5,6 @@
 // and BE throughput (b). Expected shape: DSS-LC rows dominate QoS regardless
 // of the BE pairing (≈+8.2% in the paper); DCG-BE columns dominate
 // throughput, with DSS-LC+DCG-BE the overall best pair.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
 
 using namespace tango;
@@ -107,24 +105,9 @@ void Report(const Grid& g) {
                     dcg_best_for_dss);
 }
 
-void BM_Fig12_OnePair(benchmark::State& state) {
-  const workload::Trace trace =
-      bench::MixedTrace(4, 110.0, 35.0, kDuration, 61,
-                        workload::Pattern::kP3, 0.7);
-  for (auto _ : state) {
-    const auto r = bench::RunPair(trace, 4, framework::LcAlgo::kDssLc,
-                                  framework::BeAlgo::kDcgBe, true,
-                                  kDuration + 10 * kSecond);
-    benchmark::DoNotOptimize(r.summary.qos_satisfaction);
-  }
-}
-BENCHMARK(BM_Fig12_OnePair)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   Report(RunGrid());
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -15,8 +15,6 @@
 // sched::BeGranularity) — the decision structure is unchanged but a
 // per-node GNN forward per request over 1000+ nodes would dominate the
 // wall-clock on one core.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
 
 using namespace tango;
@@ -150,21 +148,9 @@ void Report(const std::vector<eval::ExperimentResult>& rs) {
                             native_r.summary.be_throughput);
 }
 
-void BM_Fig13_TangoLargeScale(benchmark::State& state) {
-  const auto trace = Trace();
-  const auto clusters = Clusters();
-  for (auto _ : state) {
-    const auto r =
-        RunFramework(framework::FrameworkKind::kTango, trace, clusters);
-    benchmark::DoNotOptimize(r.summary.mean_util);
-  }
-}
-BENCHMARK(BM_Fig13_TangoLargeScale)->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   const auto trace = Trace();
   const auto clusters = Clusters();
   std::vector<eval::ExperimentResult> rs;
@@ -174,7 +160,5 @@ int main(int argc, char** argv) {
   rs.push_back(
       RunFramework(framework::FrameworkKind::kK8sNative, trace, clusters));
   Report(rs);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -4,8 +4,6 @@
 // 1000, under 2 % of the average QoS target. We sweep the node count with a
 // 64-request queue and report the measured wall-clock decision time of our
 // min-cost-flow implementation.
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 
 #include "bench_common.h"
@@ -53,10 +51,11 @@ double MeasureMs(int nodes, int queue_len, int reps) {
   const metrics::StateStorage st = MakeStorage(nodes, 7);
   const auto queue = MakeQueue(queue_len);
   sched::DssLcScheduler dss(&catalog);
+  // The scheduler clocks each round inside Schedule; the returned
+  // assignments are not part of the measurement.
   for (int r = 0; r < reps; ++r) {
-    auto as = dss.Schedule(ClusterId{0}, queue, st,
-                           static_cast<SimTime>(r) * kMillisecond * 10);
-    benchmark::DoNotOptimize(as.size());
+    dss.Schedule(ClusterId{0}, queue, st,
+                 static_cast<SimTime>(r) * kMillisecond * 10);
   }
   return dss.decision_seconds() * 1000.0 /
          static_cast<double>(dss.decisions());
@@ -85,33 +84,15 @@ void Report() {
   bench::PaperCheck("decision time @1000 nodes", "≈3.98 ms, <2% of QoS target",
                     eval::Fmt(ms1000, 2) + " ms = " +
                         eval::Pct(ms1000 / target_ms) + " of avg target",
-                    ms1000 < 0.02 * target_ms * 2.5);
+                    ms1000 < 0.02 * target_ms);
   bench::PaperCheck("scaling 500→1000 nodes", "≈2× (linear in nodes)",
                     eval::Fmt(ms1000 / std::max(1e-9, ms500), 2) + "x",
                     ms1000 / std::max(1e-9, ms500) < 4.0);
 }
 
-void BM_DssLcDecision(benchmark::State& state) {
-  const auto& catalog = bench::Catalog();
-  const metrics::StateStorage st =
-      MakeStorage(static_cast<int>(state.range(0)), 7);
-  const auto queue = MakeQueue(64);
-  sched::DssLcScheduler dss(&catalog);
-  SimTime now = 0;
-  for (auto _ : state) {
-    now += 10 * kMillisecond;
-    auto as = dss.Schedule(ClusterId{0}, queue, st, now);
-    benchmark::DoNotOptimize(as.size());
-  }
-}
-BENCHMARK(BM_DssLcDecision)->Arg(100)->Arg(500)->Arg(1000)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   Report();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

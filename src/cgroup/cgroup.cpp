@@ -5,6 +5,7 @@
 #include "audit/audit.h"
 #include "audit/checkers.h"
 #include "common/logging.h"
+#include "scope/scope.h"
 
 namespace tango::cgroup {
 
@@ -217,6 +218,41 @@ void Hierarchy::SetCpuQuotaUncheckedForTest(const std::string& path,
   g->knobs_.cpu_cfs_quota_us = quota_us;
 }
 #endif
+
+int OrderedWrite(Hierarchy& h, Knob knob, const std::string& pod_path,
+                 const std::string& container_path, std::int64_t value,
+                 SimTime now, std::int32_t node, std::int32_t service) {
+  using Level = audit::checks::DvpaOrderChecker::Level;
+  const bool cpu = knob == Knob::kCpuQuota;
+  const Group* pod = h.Find(pod_path);
+  const std::int64_t old_pod =
+      pod == nullptr ? -1
+      : cpu          ? pod->knobs().cpu_cfs_quota_us
+                     : pod->knobs().memory_limit;
+  audit::checks::DvpaOrderChecker order(now, node, service);
+  order.BeginKind(cpu ? "cpu.cfs_quota_us" : "memory.limit_in_bytes", old_pod,
+                  value);
+  const bool shrink = old_pod >= 0 && value < old_pod;
+  int writes = 0;
+  const auto write = [&](const std::string& path, Level level) {
+    const WriteResult r =
+        cpu ? h.WriteCpuQuota(path, value) : h.WriteMemoryLimit(path, value);
+    order.OnWrite(level, r == WriteResult::kOk);
+    if (r != WriteResult::kOk) return false;
+    ++writes;
+    return true;
+  };
+  if (shrink) {
+    if (write(container_path, Level::kContainer)) write(pod_path, Level::kPod);
+  } else {
+    if (write(pod_path, Level::kPod)) write(container_path, Level::kContainer);
+  }
+  TANGO_SCOPE_INSTANT(cpu ? (shrink ? "dvpa.cpu.shrink" : "dvpa.cpu.expand")
+                          : (shrink ? "dvpa.mem.shrink" : "dvpa.mem.expand"),
+                      "hrm", now, .node = node, .service = service,
+                      .value = value);
+  return writes;
+}
 
 std::string Hierarchy::QosPath(QosClass qos) {
   return std::string("kubepods/") + QosClassName(qos);

@@ -137,4 +137,19 @@ struct OpLatencyModel {
   SimDuration FullScaleOp() const { return 4 * per_write; }
 };
 
+/// The two knobs D-VPA scales at pod and container level.
+enum class Knob { kCpuQuota, kMemoryLimit };
+
+/// D-VPA's ordered write (§4.2): set `knob` to `value` on the pod group and
+/// on its container in the order the parent-bound rule allows. A shrink (a
+/// finite pod bound above `value`) writes container then pod; anything else
+/// (expansion, unchanged bound, unlimited pod) writes pod then container.
+/// Stops at the first rejected write and returns the accepted writes (2 on
+/// success). Under TANGO_AUDIT the order checker audits every write with
+/// `now` / `node` / `service` as context (-1 outside a simulated worker);
+/// under TANGO_SCOPE one dvpa.{cpu,mem}.{expand,shrink} instant is emitted.
+int OrderedWrite(Hierarchy& h, Knob knob, const std::string& pod_path,
+                 const std::string& container_path, std::int64_t value,
+                 SimTime now, std::int32_t node, std::int32_t service);
+
 }  // namespace tango::cgroup

@@ -1,6 +1,5 @@
 #include "hrm/dvpa.h"
 
-#include "audit/checkers.h"
 #include "common/logging.h"
 
 namespace tango::hrm {
@@ -17,57 +16,20 @@ ScaleResult DvpaScaler::Scale(Hierarchy& h, const std::string& pod_path,
                               const std::string& container_path,
                               Millicores cpu, MiB mem) const {
   ScaleResult result;
-  const cgroup::Group* pod = h.Find(pod_path);
-  const cgroup::Group* container = h.Find(container_path);
-  if (pod == nullptr || container == nullptr) return result;
-
-  // The §4.2 protocol state machine audits every write's level, order, and
-  // verdict under TANGO_AUDIT (no sim/node context at this layer).
-  audit::checks::DvpaOrderChecker order(-1, -1, -1);
-  using Level = audit::checks::DvpaOrderChecker::Level;
-
-  const std::int64_t new_quota = QuotaFromMillicores(cpu);
-  const std::int64_t old_pod_quota = pod->knobs().cpu_cfs_quota_us;
-  // Expansion if the pod bound must grow (or is currently unlimited-to-
-  // limited transition counts as shrink of an infinite bound — treat
-  // unlimited as "larger than anything", so setting a finite value shrinks).
-  const bool cpu_expand =
-      old_pod_quota >= 0 && new_quota > old_pod_quota;
-  order.BeginKind("cpu.cfs_quota_us", old_pod_quota, new_quota);
-  auto write_cpu = [&](const std::string& path, Level level) {
-    const WriteResult r = h.WriteCpuQuota(path, new_quota);
-    order.OnWrite(level, r == WriteResult::kOk);
-    if (r != WriteResult::kOk) return false;
-    ++result.writes;
-    return true;
-  };
-  // Ordered CPU writes: expand pod→container, shrink container→pod.
-  const bool cpu_ok =
-      cpu_expand ? (write_cpu(pod_path, Level::kPod) &&
-                    write_cpu(container_path, Level::kContainer))
-                 : (write_cpu(container_path, Level::kContainer) &&
-                    write_cpu(pod_path, Level::kPod));
-  if (!cpu_ok) {
-    result.latency = result.writes * latency_.per_write;
+  if (h.Find(pod_path) == nullptr || h.Find(container_path) == nullptr) {
     return result;
   }
-
-  const MiB old_pod_mem = pod->knobs().memory_limit;
-  const bool mem_expand = old_pod_mem >= 0 && mem > old_pod_mem;
-  order.BeginKind("memory.limit_in_bytes", old_pod_mem, mem);
-  auto write_mem = [&](const std::string& path, Level level) {
-    const WriteResult r = h.WriteMemoryLimit(path, mem);
-    order.OnWrite(level, r == WriteResult::kOk);
-    if (r != WriteResult::kOk) return false;
-    ++result.writes;
-    return true;
+  // No simulated node or service here: the order checker reports -1.
+  const auto write = [&](cgroup::Knob knob, std::int64_t value) {
+    const int writes =
+        cgroup::OrderedWrite(h, knob, pod_path, container_path, value,
+                             /*now=*/-1, /*node=*/-1, /*service=*/-1);
+    result.writes += writes;
+    return writes == 2;
   };
-  const bool mem_ok =
-      mem_expand ? (write_mem(pod_path, Level::kPod) &&
-                    write_mem(container_path, Level::kContainer))
-                 : (write_mem(container_path, Level::kContainer) &&
-                    write_mem(pod_path, Level::kPod));
-  result.ok = mem_ok;
+  // A rejected CPU write leaves memory untouched.
+  result.ok = write(cgroup::Knob::kCpuQuota, QuotaFromMillicores(cpu)) &&
+              write(cgroup::Knob::kMemoryLimit, mem);
   result.latency = result.writes * latency_.per_write;
   result.uninterrupted = true;  // cgroup writes never stop the container
   return result;

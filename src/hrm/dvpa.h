@@ -32,9 +32,9 @@ class DvpaScaler {
       : latency_(latency) {}
 
   /// Scale `container_path` (child of `pod_path`) to the given CPU
-  /// (millicores) and memory (MiB) limits, choosing the write order from the
-  /// current values. Returns failure without touching anything further if a
-  /// write is rejected.
+  /// (millicores) and memory (MiB) limits: one cgroup::OrderedWrite per
+  /// knob, the routine every simulated worker runs. Returns failure without
+  /// touching anything further if a write is rejected.
   ScaleResult Scale(cgroup::Hierarchy& h, const std::string& pod_path,
                     const std::string& container_path, Millicores cpu,
                     MiB mem) const;

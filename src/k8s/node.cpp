@@ -10,66 +10,6 @@
 
 namespace tango::k8s {
 
-namespace {
-
-using OrderLevel = audit::checks::DvpaOrderChecker::Level;
-
-/// D-VPA ordered CPU write against the node's own hierarchy: the direction
-/// is chosen from the current pod-level bound (§4.2 — expand pod→container,
-/// shrink container→pod), so neither write can bounce off the parent-bound
-/// EINVAL. The order checker audits level order and verdicts under
-/// TANGO_AUDIT.
-void OrderedQuotaWrite(cgroup::Hierarchy& h, const std::string& pod_path,
-                       const std::string& container_path, std::int64_t quota,
-                       SimTime now, std::int32_t node, std::int32_t service) {
-  audit::checks::DvpaOrderChecker order(now, node, service);
-  const cgroup::Group* pod = h.Find(pod_path);
-  const std::int64_t old_pod =
-      pod != nullptr ? pod->knobs().cpu_cfs_quota_us : -1;
-  order.BeginKind("cpu.cfs_quota_us", old_pod, quota);
-  const bool shrink = old_pod >= 0 && quota < old_pod;
-  const auto write = [&](const std::string& path, OrderLevel level) {
-    order.OnWrite(level,
-                  h.WriteCpuQuota(path, quota) == cgroup::WriteResult::kOk);
-  };
-  if (shrink) {
-    write(container_path, OrderLevel::kContainer);
-    write(pod_path, OrderLevel::kPod);
-  } else {
-    write(pod_path, OrderLevel::kPod);
-    write(container_path, OrderLevel::kContainer);
-  }
-  TANGO_SCOPE_INSTANT(shrink ? "dvpa.cpu.shrink" : "dvpa.cpu.expand", "hrm",
-                      now, .node = node, .service = service, .value = quota);
-}
-
-/// Memory twin of OrderedQuotaWrite.
-void OrderedMemoryWrite(cgroup::Hierarchy& h, const std::string& pod_path,
-                        const std::string& container_path, MiB limit,
-                        SimTime now, std::int32_t node, std::int32_t service) {
-  audit::checks::DvpaOrderChecker order(now, node, service);
-  const cgroup::Group* pod = h.Find(pod_path);
-  const MiB old_pod = pod != nullptr ? pod->knobs().memory_limit : -1;
-  order.BeginKind("memory.limit_in_bytes", old_pod, limit);
-  const bool shrink = old_pod >= 0 && limit < old_pod;
-  const auto write = [&](const std::string& path, OrderLevel level) {
-    order.OnWrite(level,
-                  h.WriteMemoryLimit(path, limit) ==
-                      cgroup::WriteResult::kOk);
-  };
-  if (shrink) {
-    write(container_path, OrderLevel::kContainer);
-    write(pod_path, OrderLevel::kPod);
-  } else {
-    write(pod_path, OrderLevel::kPod);
-    write(container_path, OrderLevel::kContainer);
-  }
-  TANGO_SCOPE_INSTANT(shrink ? "dvpa.mem.shrink" : "dvpa.mem.expand", "hrm",
-                      now, .node = node, .service = service, .value = limit);
-}
-
-}  // namespace
-
 WorkerNode::WorkerNode(sim::Simulator* sim, NodeSpec spec,
                        const workload::ServiceCatalog* catalog,
                        const AllocationPolicy* policy, Callbacks callbacks,
@@ -265,12 +205,14 @@ void WorkerNode::TryAdmit() {
                       ContainerCgroupPath(r.slot.service);
                   const std::string ppath =
                       cpath.substr(0, cpath.rfind('/'));
-                  OrderedQuotaWrite(cgroups_, ppath, cpath,
-                                    r.slot.need.cpu * 100, sim_->Now(),
-                                    spec_.id.value, r.slot.service.value);
-                  OrderedMemoryWrite(cgroups_, ppath, cpath, r.slot.need.mem,
-                                     sim_->Now(), spec_.id.value,
-                                     r.slot.service.value);
+                  cgroup::OrderedWrite(cgroups_, cgroup::Knob::kCpuQuota,
+                                       ppath, cpath, r.slot.need.cpu * 100,
+                                       sim_->Now(), spec_.id.value,
+                                       r.slot.service.value);
+                  cgroup::OrderedWrite(cgroups_, cgroup::Knob::kMemoryLimit,
+                                       ppath, cpath, r.slot.need.mem,
+                                       sim_->Now(), spec_.id.value,
+                                       r.slot.service.value);
                   Recompute();
                   return;
                 }
@@ -436,8 +378,9 @@ void WorkerNode::CompleteAt(RequestId id) {
   if (policy_->AdmissionLatency() > 0) {
     const std::string cpath = ContainerCgroupPath(done.slot.service);
     const std::string ppath = cpath.substr(0, cpath.rfind('/'));
-    OrderedQuotaWrite(cgroups_, ppath, cpath, 1000, sim_->Now(),
-                      spec_.id.value, done.slot.service.value);
+    cgroup::OrderedWrite(cgroups_, cgroup::Knob::kCpuQuota, ppath, cpath,
+                         1000, sim_->Now(), spec_.id.value,
+                         done.slot.service.value);
   }
   if (callbacks_.on_complete) {
     CompletionInfo info;

@@ -901,9 +901,6 @@ void EdgeCloudSystem::SampleMetrics(SimTime now) {
   p.util_total = cap > 0.0 ? static_cast<double>(use_total_) / cap : 0.0;
   p.util_lc = cap > 0.0 ? static_cast<double>(use_lc_) / cap : 0.0;
   p.util_be = cap > 0.0 ? static_cast<double>(use_be_) / cap : 0.0;
-  tss_.Gauge("util.total", now, p.util_total);
-  tss_.Gauge("util.lc", now, p.util_lc);
-  tss_.Gauge("util.be", now, p.util_be);
   g_util_total_->Set(p.util_total);
   g_util_lc_->Set(p.util_lc);
   g_util_be_->Set(p.util_be);

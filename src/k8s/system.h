@@ -23,7 +23,6 @@
 #include "k8s/node.h"
 #include "k8s/scheduling_api.h"
 #include "metrics/qos_detector.h"
-#include "metrics/timeseries.h"
 #include "net/egress.h"
 #include "net/topology.h"
 #include "scope/metrics.h"
@@ -173,7 +172,6 @@ class EdgeCloudSystem {
   sim::Simulator& simulator() { return sim_; }
   const net::Topology& topology() const { return topology_; }
   metrics::QosDetector& qos_detector() { return qos_detector_; }
-  metrics::TimeSeriesStore& timeseries() { return tss_; }
   const std::vector<RequestRecord>& records() const { return records_; }
   const std::vector<PeriodStats>& periods() const { return period_stats_; }
   RunSummary Summary() const;
@@ -352,7 +350,6 @@ class EdgeCloudSystem {
 
   net::EgressRegulator egress_;
   metrics::QosDetector qos_detector_;
-  metrics::TimeSeriesStore tss_;
   std::vector<RequestRecord> records_;
   std::vector<PeriodStats> period_stats_;
 };

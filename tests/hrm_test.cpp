@@ -64,6 +64,36 @@ TEST_F(DvpaFixture, MixedDirectionScale) {
   EXPECT_EQ(h.Find(container)->knobs().memory_limit, 128);
 }
 
+TEST_F(DvpaFixture, UnchangedTargetRewritesBothLevels) {
+  // The fixture's own limits: neither an expansion nor a shrink, yet every
+  // write must still land.
+  const ScaleResult r = scaler.Scale(h, pod, container, 500, 512);
+  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(r.writes, 4);
+  EXPECT_NEAR(ToMilliseconds(r.latency), 23.0, 0.1);
+  for (const std::string& path : {pod, container}) {
+    EXPECT_EQ(h.Find(path)->knobs().CpuLimitMillicores().value(), 500);
+    EXPECT_EQ(h.Find(path)->knobs().memory_limit, 512);
+  }
+}
+
+TEST(DvpaScaler, FreshPodWithUnlimitedBounds) {
+  // A pod that was never limited (-1 on both knobs), as a worker's pod is
+  // before its first admission.
+  cgroup::Hierarchy h;
+  h.Create("kubepods/burstable", "pod1");
+  h.Create("kubepods/burstable/pod1", "c0");
+  const std::string pod = "kubepods/burstable/pod1";
+  const std::string container = "kubepods/burstable/pod1/c0";
+  const ScaleResult r = DvpaScaler().Scale(h, pod, container, 750, 1024);
+  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(r.writes, 4);
+  for (const std::string& path : {pod, container}) {
+    EXPECT_EQ(h.Find(path)->knobs().CpuLimitMillicores().value(), 750);
+    EXPECT_EQ(h.Find(path)->knobs().memory_limit, 1024);
+  }
+}
+
 TEST_F(DvpaFixture, WrongOrderWouldFailDirectWrites) {
   // Sanity: the invariant D-VPA works around. Raising the container first
   // is rejected by the hierarchy itself.

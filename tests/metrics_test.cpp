@@ -1,75 +1,11 @@
-// Unit tests for the metrics stack: time-series store, QoS detector, state
-// storage.
+// Unit tests for the metrics stack: QoS detector, state storage.
 #include <gtest/gtest.h>
 
 #include "metrics/qos_detector.h"
 #include "metrics/state_storage.h"
-#include "metrics/timeseries.h"
 
 namespace tango::metrics {
 namespace {
-
-// ----------------------------------------------------------- timeseries --
-
-TEST(TimeSeries, GaugeAndQuery) {
-  TimeSeriesStore tss;
-  tss.Gauge("util", 100, 0.5);
-  tss.Gauge("util", 200, 0.7);
-  const Series* s = tss.Find("util");
-  ASSERT_NE(s, nullptr);
-  EXPECT_DOUBLE_EQ(s->At(50), 0.0);    // before first sample
-  EXPECT_DOUBLE_EQ(s->At(100), 0.5);
-  EXPECT_DOUBLE_EQ(s->At(150), 0.5);   // holds last value
-  EXPECT_DOUBLE_EQ(s->At(250), 0.7);
-  EXPECT_DOUBLE_EQ(s->Latest(), 0.7);
-}
-
-TEST(TimeSeries, CounterAccumulates) {
-  TimeSeriesStore tss;
-  tss.CounterAdd("done", 10, 1.0);
-  tss.CounterAdd("done", 20, 2.0);
-  tss.CounterAdd("done", 30, 4.0);
-  EXPECT_DOUBLE_EQ(tss.CounterValue("done"), 7.0);
-  EXPECT_DOUBLE_EQ(tss.Find("done")->At(25), 3.0);
-  EXPECT_DOUBLE_EQ(tss.CounterValue("missing"), 0.0);
-}
-
-TEST(TimeSeries, MeanOverRange) {
-  TimeSeriesStore tss;
-  for (int i = 1; i <= 10; ++i) {
-    tss.Gauge("g", i * 100, static_cast<double>(i));
-  }
-  // (from, to] semantics.
-  EXPECT_DOUBLE_EQ(tss.Find("g")->MeanOver(200, 500), (3 + 4 + 5) / 3.0);
-  EXPECT_DOUBLE_EQ(tss.Find("g")->MeanOver(5000, 9000), 0.0);
-}
-
-TEST(TimeSeries, MeanOverBinarySearchedBoundaries) {
-  // The prefix-sum path must honor (from, to] exactly, including window
-  // edges that fall between samples and windows covering the whole series.
-  TimeSeriesStore tss;
-  for (int i = 1; i <= 1000; ++i) {
-    tss.Gauge("g", i * 10, static_cast<double>(i));
-  }
-  const auto* s = tss.Find("g");
-  EXPECT_DOUBLE_EQ(s->MeanOver(0, 10000), 500.5);      // everything
-  EXPECT_DOUBLE_EQ(s->MeanOver(10, 20), 2.0);          // exact edges
-  EXPECT_DOUBLE_EQ(s->MeanOver(15, 25), 2.0);          // between samples
-  EXPECT_DOUBLE_EQ(s->MeanOver(-100, 10), 1.0);        // head window
-  EXPECT_DOUBLE_EQ(s->MeanOver(9990, 20000), 1000.0);  // tail window
-  EXPECT_DOUBLE_EQ(s->MeanOver(14, 15), 0.0);          // empty interior
-  EXPECT_DOUBLE_EQ(s->MeanOver(300, 300), 0.0);        // degenerate
-}
-
-TEST(TimeSeries, NamesSorted) {
-  TimeSeriesStore tss;
-  tss.Gauge("b", 0, 1);
-  tss.Gauge("a", 0, 1);
-  const auto names = tss.Names();
-  ASSERT_EQ(names.size(), 2u);
-  EXPECT_EQ(names[0], "a");
-  EXPECT_EQ(names[1], "b");
-}
 
 // ---------------------------------------------------------- QoS detector --
 

@@ -119,6 +119,34 @@ TEST_F(NodeFixture, DvpaOpCountsScalingOps) {
   EXPECT_GT(node->cgroups().write_count(), 0);
 }
 
+TEST_F(NodeFixture, DvpaWritesPodAndContainerOncePerKnob) {
+  auto node = MakeNode(hrm_policy.get());
+  const ServiceId svc{3};
+  const ResourceVec need =
+      hrm_policy->EffectiveDemand(NodeId{7}, catalog.Get(svc));
+  node->Enqueue(Req(1, 3));
+  // Just past the 23 ms D-VPA op, well before the 40 ms of work ends.
+  sim.RunUntil(hrm_policy->AdmissionLatency() + kMillisecond);
+  ASSERT_TRUE(completions.empty());
+  const std::string cpath = node->ContainerCgroupPath(svc);
+  const std::string ppath = cpath.substr(0, cpath.rfind('/'));
+  const cgroup::Hierarchy& h = node->cgroups();
+  for (const std::string& path : {ppath, cpath}) {
+    EXPECT_EQ(h.Find(path)->knobs().cpu_cfs_quota_us, need.cpu * 100) << path;
+    EXPECT_EQ(h.Find(path)->knobs().memory_limit, need.mem) << path;
+  }
+  EXPECT_EQ(h.write_count(), 4);  // pod + container, once per knob
+
+  sim.RunUntil(kSecond);
+  ASSERT_EQ(completions.size(), 1u);
+  for (const std::string& path : {ppath, cpath}) {
+    // The completion floor: 10 millicores, memory left as it was.
+    EXPECT_EQ(h.Find(path)->knobs().cpu_cfs_quota_us, 1000) << path;
+    EXPECT_EQ(h.Find(path)->knobs().memory_limit, need.mem) << path;
+  }
+  EXPECT_EQ(h.write_count(), 6);  // the floor writes only the CPU pair
+}
+
 TEST_F(NodeFixture, NativePolicyHasNoScalingOps) {
   auto node = MakeNode(native_policy.get());
   node->Enqueue(Req(1, 3));

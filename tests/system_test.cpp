@@ -133,11 +133,32 @@ TEST_F(SystemFixture, PeriodStatsAdvanceEvery800ms) {
 }
 
 TEST_F(SystemFixture, UtilizationRecordedInTimeseries) {
-  system->SubmitTrace(SmallTrace(30, 10));
+  // periods() is the utilization series: each 800 ms sample closes a row,
+  // and the open row comes last.
+  workload::Trace trace = SmallTrace(30, 10);
+  for (auto& r : trace) {
+    if (r.service == ServiceId{9}) r.work_scale = 40.0;  // BE outlasts the run
+  }
+  system->SubmitTrace(trace);
   system->Run(5 * kSecond);
-  const auto* util = system->timeseries().Find("util.total");
-  ASSERT_NE(util, nullptr);
-  EXPECT_FALSE(util->empty());
+  SimTime be_running = 0;  // by then every BE request has been dispatched
+  for (const auto& rec : system->records()) {
+    if (rec.request.service != ServiceId{9}) continue;
+    ASSERT_GE(rec.dispatched, 0);
+    be_running = std::max(be_running, rec.dispatched + 100 * kMillisecond);
+  }
+  const auto& rows = system->periods();
+  ASSERT_GE(rows.size(), 2u);
+  int loaded = 0;
+  for (std::size_t i = 0; i + 1 < rows.size(); ++i) {
+    const SimTime closed_at = rows[i + 1].period_start;
+    if (closed_at < be_running) continue;
+    EXPECT_GT(rows[i].util_total, 0.0) << "row closed at " << closed_at;
+    ++loaded;
+  }
+  EXPECT_GE(loaded, 3);
+  EXPECT_DOUBLE_EQ(rows[rows.size() - 2].util_total,
+                   system->metrics_registry().GetGauge("util.total").value());
 }
 
 TEST_F(SystemFixture, SummaryRatesConsistent) {

@@ -70,6 +70,11 @@ if [[ "$what" == "all" || "$what" == "plain" ]]; then
   # identity, monotone inflation. Exit 1 on any violation, writes nothing.
   echo "== [plain] abl_scenarios --smoke =="
   (cd "$repo_root/build" && bench/abl_scenarios --smoke)
+  # The paper's §7.1 D-VPA claims on the shared ordered-write routine:
+  # modeled latencies, not the wall clock, so the checks are exact. Exit 1
+  # on any failed check.
+  echo "== [plain] tab_dvpa_latency =="
+  (cd "$repo_root/build" && bench/tab_dvpa_latency)
 fi
 
 if [[ "$what" == "all" || "$what" == "sanitize" ]]; then

@@ -103,5 +103,5 @@ int main() {
   rows.push_back(RunMechanism("K8s HPA", trace));
   rows.push_back(RunMechanism("native fixed", trace));
   Report(rows);
-  return 0;
+  return bench::ChecksExitCode();
 }

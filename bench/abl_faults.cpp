@@ -128,5 +128,5 @@ void Run() {
 
 int main() {
   Run();
-  return 0;
+  return bench::ChecksExitCode();
 }

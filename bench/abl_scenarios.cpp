@@ -265,5 +265,5 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) return Smoke();
   }
   Run();
-  return 0;
+  return bench::ChecksExitCode();
 }

@@ -81,5 +81,5 @@ void Run() {
 
 int main() {
   Run();
-  return 0;
+  return bench::ChecksExitCode();
 }

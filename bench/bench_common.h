@@ -1,6 +1,7 @@
 // Shared helpers for the figure-reproduction benches. Every binary prints
 // the paper's expectation next to the measured value, so `for b in bench/*;
-// do $b; done` doubles as the EXPERIMENTS.md evidence generator.
+// do $b; done` doubles as the EXPERIMENTS.md evidence generator; a paper
+// bench exits 1 when any of its checks fails.
 #pragma once
 
 #include <cstdio>
@@ -69,36 +70,30 @@ inline int RecordedCores(const char* path) {
 /// Provenance guard: refuse to overwrite a benchmark result recorded on a
 /// host with more cores — a laptop run must not clobber the numbers from a
 /// real multi-core box (that is how BENCH_sched.json once lost its ≥4-core
-/// measurement to a 1-core container). Set TANGO_BENCH_FORCE=1 to override
-/// deliberately (e.g. re-recording after a schema change). Prints the
-/// decision either way.
+/// measurement to a 1-core container) — and refuse to record on a 1-core
+/// host at all, whose parallel speedups mean nothing. Set
+/// TANGO_BENCH_FORCE=1 to override deliberately (e.g. re-recording after a
+/// schema change). Prints the decision either way.
 inline bool ShouldWriteBench(const char* path, int cores) {
-  // Recording on a 1-core host is allowed but self-describing: speedup
-  // numbers measured there are meaningless, so say so at record time
-  // rather than leaving a silent `"cores": 1` for the next reader.
-  if (cores <= 1) {
-    std::fprintf(stderr,
-                 "  [!!] %s: recording on a single-core host — parallel "
-                 "speedups in this file will not be representative\n",
-                 path);
-  }
   const int prior = RecordedCores(path);
-  if (prior > cores) {
-    const char* force = std::getenv("TANGO_BENCH_FORCE");
-    if (force != nullptr && *force != '\0' && *force != '0') {
-      std::printf(
-          "  [!!] TANGO_BENCH_FORCE: overwriting %s recorded on %d cores "
-          "with a %d-core run\n",
-          path, prior, cores);
-      return true;
-    }
+  if (cores > 1 && prior <= cores) return true;
+  const char* force = std::getenv("TANGO_BENCH_FORCE");
+  if (force != nullptr && *force != '\0' && *force != '0') {
+    std::printf("  [!!] TANGO_BENCH_FORCE: writing %s from a %d-core run\n",
+                path, cores);
+    return true;
+  }
+  if (cores <= 1) {
+    std::printf("  [--] not writing %s on a %d-core host: its parallel "
+                "speedups would mean nothing\n",
+                path, cores);
+  } else {
     std::printf(
         "  [--] keeping existing %s (recorded on %d cores; this host has "
         "%d)\n",
         path, prior, cores);
-    return false;
   }
-  return true;
+  return false;
 }
 
 inline const workload::ServiceCatalog& Catalog() {
@@ -183,13 +178,23 @@ inline std::vector<eval::ExperimentResult> RunPairSeeds(
   return eval::RunExperiments(jobs, Catalog(), num_threads);
 }
 
+/// PaperChecks that printed `[!!]` so far in this process.
+inline int& FailedChecks() {
+  static int failed = 0;
+  return failed;
+}
+
 /// Print a "paper vs measured" check line; returns `holds`.
 inline bool PaperCheck(const char* what, const char* paper,
                        const std::string& measured, bool holds) {
   std::printf("  [%s] %-46s paper: %-34s measured: %s\n",
               holds ? "ok" : "!!", what, paper, measured.c_str());
+  if (!holds) ++FailedChecks();
   return holds;
 }
+
+/// A paper bench's exit status: 1 when any PaperCheck printed `[!!]`.
+inline int ChecksExitCode() { return FailedChecks() == 0 ? 0 : 1; }
 
 inline std::vector<double> UtilSeries(const eval::ExperimentResult& r) {
   return eval::Field(r.periods,

@@ -93,5 +93,5 @@ void Report(const Fig1Result& r) {
 
 int main() {
   Report(RunFig1());
-  return 0;
+  return bench::ChecksExitCode();
 }

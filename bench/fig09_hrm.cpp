@@ -102,5 +102,5 @@ std::vector<PatternRow>& Cached() {
 
 int main() {
   Report(Cached());
-  return 0;
+  return bench::ChecksExitCode();
 }

@@ -77,5 +77,5 @@ int main() {
   rows.push_back(RunPattern(workload::Pattern::kP2));
   rows.push_back(RunPattern(workload::Pattern::kP3));
   Report(rows);
-  return 0;
+  return bench::ChecksExitCode();
 }

@@ -94,5 +94,5 @@ void Report(const std::vector<AlgoRun>& runs) {
 
 int main() {
   Report(RunAll());
-  return 0;
+  return bench::ChecksExitCode();
 }

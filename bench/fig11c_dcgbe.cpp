@@ -106,5 +106,5 @@ int main() {
     runs.push_back(RunOne(algo, trace, clusters));
   }
   Report(runs);
-  return 0;
+  return bench::ChecksExitCode();
 }

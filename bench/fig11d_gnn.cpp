@@ -225,5 +225,5 @@ int main() {
     runs.push_back(std::move(a));
   }
   Report(runs);
-  return 0;
+  return bench::ChecksExitCode();
 }

@@ -109,5 +109,5 @@ void Report(const Grid& g) {
 
 int main() {
   Report(RunGrid());
-  return 0;
+  return bench::ChecksExitCode();
 }

@@ -160,5 +160,5 @@ int main() {
   rs.push_back(
       RunFramework(framework::FrameworkKind::kK8sNative, trace, clusters));
   Report(rs);
-  return 0;
+  return bench::ChecksExitCode();
 }

@@ -18,8 +18,8 @@
 // CI (including the TSan and TANGO_AUDIT jobs), where timing gates would
 // flake. The 8-shard ≥4x sweep target is only *gated* on hosts with ≥8
 // cores; smaller hosts still print the measured value. The JSON records
-// the core count, and ShouldWriteBench refuses to clobber a result from a
-// bigger host unless TANGO_BENCH_FORCE is set.
+// the core count, and ShouldWriteBench refuses to record on a 1-core host
+// or to clobber a result from a bigger host unless TANGO_BENCH_FORCE is set.
 //
 // Flags: --smoke
 //        --nodes N   replace the sweep tiers with one ~N-node layout

@@ -94,5 +94,5 @@ void Report() {
 
 int main() {
   Report();
-  return 0;
+  return bench::ChecksExitCode();
 }

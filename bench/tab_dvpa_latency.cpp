@@ -26,7 +26,7 @@ cgroup::Hierarchy MakePod() {
   return h;
 }
 
-bool Report() {
+void Report() {
   std::printf("D-VPA scaling-op latency (paper §7.1 text)\n");
   hrm::DvpaScaler scaler;
   cgroup::Hierarchy h = MakePod();
@@ -38,28 +38,28 @@ bool Report() {
   const hrm::ScaleResult rebuild = scaler.NativeRebuild(
       h2, "kubepods/burstable/pod1", "c0", 1500, 1024);
 
-  bool ok = true;
-  ok &= bench::PaperCheck(
+  bench::PaperCheck(
       "D-VPA expand op (pod→container order)", "≈23 ms",
       eval::Fmt(ToMilliseconds(up.latency), 1) + " ms",
       up.ok && std::abs(ToMilliseconds(up.latency) - 23.0) < 1);
-  ok &= bench::PaperCheck(
+  bench::PaperCheck(
       "D-VPA shrink op (container→pod order)", "≈23 ms",
       eval::Fmt(ToMilliseconds(down.latency), 1) + " ms",
       down.ok && std::abs(ToMilliseconds(down.latency) - 23.0) < 1);
-  ok &= bench::PaperCheck("container keeps running through D-VPA op",
-                          "no interruption", up.uninterrupted ? "yes" : "no",
-                          up.uninterrupted);
+  bench::PaperCheck("container keeps running through D-VPA op",
+                    "no interruption", up.uninterrupted ? "yes" : "no",
+                    up.uninterrupted);
   const double ratio = static_cast<double>(rebuild.latency) /
                        static_cast<double>(up.latency);
-  ok &= bench::PaperCheck("delete-and-rebuild (K8s-VPA plugin)",
-                          "≈100× slower",
-                          eval::Fmt(ratio, 1) + "x, interrupts workload",
-                          rebuild.ok && !rebuild.uninterrupted && ratio > 50);
+  bench::PaperCheck("delete-and-rebuild (K8s-VPA plugin)", "≈100× slower",
+                    eval::Fmt(ratio, 1) + "x, interrupts workload",
+                    rebuild.ok && !rebuild.uninterrupted && ratio > 50);
   std::printf("\n");
-  return ok;
 }
 
 }  // namespace
 
-int main() { return Report() ? 0 : 1; }
+int main() {
+  Report();
+  return bench::ChecksExitCode();
+}

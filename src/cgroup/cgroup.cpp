@@ -21,20 +21,6 @@ const char* QosClassName(QosClass c) {
   return "?";
 }
 
-const char* WriteResultName(WriteResult r) {
-  switch (r) {
-    case WriteResult::kOk:
-      return "ok";
-    case WriteResult::kNoSuchGroup:
-      return "no-such-group";
-    case WriteResult::kInvalidArgument:
-      return "invalid-argument";
-    case WriteResult::kBusy:
-      return "busy";
-  }
-  return "?";
-}
-
 Hierarchy::Hierarchy() {
   auto root = std::make_unique<Group>();
   root->path_ = "kubepods";

@@ -52,7 +52,6 @@ enum class WriteResult {
   kInvalidArgument,   // e.g. child limit > parent limit
   kBusy,              // group has live children and the op requires none
 };
-const char* WriteResultName(WriteResult r);
 
 class Hierarchy;
 

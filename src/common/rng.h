@@ -79,9 +79,6 @@ class Rng {
     return scale / std::pow(u, 1.0 / shape);
   }
 
-  /// Derive an independent child stream (for per-entity RNGs).
-  Rng Fork() { return Rng(NextU64()); }
-
  private:
   static constexpr std::uint64_t Rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

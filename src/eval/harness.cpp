@@ -8,8 +8,6 @@
 #include "common/logging.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
-#include "scope/export.h"
-#include "scope/scope.h"
 
 namespace tango::eval {
 
@@ -40,12 +38,6 @@ std::vector<k8s::ClusterSpec> HybridClusters(int physical, int virtual_n,
 ExperimentResult RunExperiment(const ExperimentConfig& cfg,
                                const InstallFn& install,
                                const workload::ServiceCatalog& catalog) {
-  // The span tracer is process-global, so a traced run owns it for the
-  // whole experiment (RunExperiments forces traced batches serial).
-  const bool traced = scope::kCompiled && !cfg.trace_path.empty();
-  if (traced) {
-    scope::DefaultTracer().Enable({.capacity = std::size_t{1} << 16});
-  }
   k8s::EdgeCloudSystem system(cfg.system, &catalog);
   framework::Assembly assembly = install(system);
   std::unique_ptr<fault::FaultPlane> plane;
@@ -70,18 +62,10 @@ ExperimentResult RunExperiment(const ExperimentConfig& cfg,
   }
   if (plane != nullptr) {
     r.has_resilience = true;
-    r.resilience = ComputeResilience(system, *plane, cfg.duration,
-                                     cfg.qos_recovery_threshold);
+    r.resilience = ComputeResilience(system, *plane, cfg.duration);
     r.timeline = plane->timeline();
   }
   r.metrics = system.metrics_registry().Snapshot();
-  if (!cfg.metrics_csv_path.empty()) {
-    scope::WriteMetricsCsvFile(cfg.metrics_csv_path, r.metrics);
-  }
-  if (traced) {
-    scope::WriteChromeTraceFile(cfg.trace_path, scope::DefaultTracer());
-    scope::DefaultTracer().Disable();
-  }
   return r;
 }
 
@@ -92,12 +76,7 @@ std::vector<ExperimentResult> RunExperiments(
   const auto run_one = [&](std::size_t i, int /*worker*/) {
     results[i] = RunExperiment(jobs[i].cfg, jobs[i].install, catalog);
   };
-  // Tracing writes to the process-global tracer, so a batch containing any
-  // traced job must not interleave experiments.
-  const bool any_traced = std::any_of(
-      jobs.begin(), jobs.end(),
-      [](const ExperimentJob& j) { return !j.cfg.trace_path.empty(); });
-  if (num_threads == 1 || jobs.size() <= 1 || any_traced) {
+  if (num_threads == 1 || jobs.size() <= 1) {
     for (std::size_t i = 0; i < jobs.size(); ++i) run_one(i, 0);
     return results;
   }

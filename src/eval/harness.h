@@ -28,17 +28,6 @@ struct ExperimentConfig {
   /// Optional fault script, armed on a FaultPlane before the run. The
   /// script must outlive the call.
   const fault::FaultScript* faults = nullptr;
-  /// Per-period LC QoS satisfaction counted as "recovered" (for
-  /// ResilienceReport::time_to_recover).
-  double qos_recovery_threshold = 0.9;
-  /// When non-empty (and the build has TANGO_SCOPE), the run executes with
-  /// the process-global tracer enabled and exports a Chrome trace_event
-  /// JSON (Perfetto-loadable) here. The tracer is shared process state, so
-  /// RunExperiments() forces traced batches serial.
-  std::string trace_path;
-  /// When non-empty, the system's metric registry snapshot is written here
-  /// as CSV (name,kind,count,value,p50,p95,p99).
-  std::string metrics_csv_path;
 };
 
 /// Resilience metrics of one faulted run (all computed from the request

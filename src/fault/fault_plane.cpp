@@ -43,7 +43,6 @@ FaultPlane::FaultPlane(k8s::EdgeCloudSystem* system,
     : system_(system) {
   TANGO_CHECK(system_ != nullptr, "fault plane needs a system");
   for (const FaultEvent& event : script.events()) {
-    ++events_armed_;
     system_->simulator().ScheduleAt(event.at,
                                     [this, event]() { Apply(event); });
   }

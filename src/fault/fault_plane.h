@@ -38,7 +38,6 @@ class FaultPlane {
 
   const std::vector<TimelineEntry>& timeline() const { return timeline_; }
   int events_injected() const { return static_cast<int>(timeline_.size()); }
-  int events_armed() const { return events_armed_; }
   /// Outstanding faults right now (0 = system nominal).
   int active_faults() const;
 
@@ -55,7 +54,6 @@ class FaultPlane {
   void Apply(const FaultEvent& event);
 
   k8s::EdgeCloudSystem* system_;
-  int events_armed_ = 0;
   std::vector<TimelineEntry> timeline_;
   // Mirrors of the injected state, keyed by target, so overlapping scripts
   // (e.g. two chaos profiles crashing the same node) never double-count.

@@ -44,7 +44,7 @@ ResourceVec HrmAllocationPolicy::EffectiveDemand(
 }
 
 SimDuration HrmAllocationPolicy::AdmissionLatency() const {
-  return cfg_.charge_scaling_latency ? cfg_.latency.FullScaleOp() : 0;
+  return cfg_.latency.FullScaleOp();
 }
 
 AdmitDecision HrmAllocationPolicy::Admit(

@@ -30,8 +30,6 @@ struct HrmConfig {
   double max_multiplier = 3.0;
   /// D-VPA latency model (≈23 ms per full scaling op).
   cgroup::OpLatencyModel latency{};
-  /// When false, admissions are free (used by ablations).
-  bool charge_scaling_latency = true;
 };
 
 class HrmAllocationPolicy : public k8s::AllocationPolicy {

@@ -107,22 +107,18 @@ void HpaAllocationPolicy::ControlLoop(SimTime now) {
 HpaController::HpaController(EdgeCloudSystem* system,
                              HpaAllocationPolicy* policy) {
   TANGO_CHECK(system != nullptr && policy != nullptr, "hpa wiring");
+  sim::Simulator* s = sim_ = &system->simulator();
   // Keep the policy's clock fresh at a fine grain so ReadyReplicas sees
   // replica start-ups between control passes.
-  auto stop_clock = sim::SchedulePeriodic(
-      system->simulator(), 100 * kMillisecond, 100 * kMillisecond,
-      [policy](SimTime now) { policy->SetNow(now); });
-  auto stop_loop = sim::SchedulePeriodic(
-      system->simulator(), policy->config().period, policy->config().period,
-      [policy](SimTime now) { policy->ControlLoop(now); });
-  stop_ = [stop_clock, stop_loop]() {
-    stop_clock();
-    stop_loop();
-  };
+  clock_ = s->StartPeriodic(100 * kMillisecond, 100 * kMillisecond,
+                            [s, policy] { policy->SetNow(s->Now()); });
+  loop_ = s->StartPeriodic(policy->config().period, policy->config().period,
+                           [s, policy] { policy->ControlLoop(s->Now()); });
 }
 
 HpaController::~HpaController() {
-  if (stop_) stop_();
+  sim_->Cancel(clock_);
+  sim_->Cancel(loop_);
 }
 
 }  // namespace tango::k8s

@@ -13,7 +13,6 @@
 //     become ready after `startup_latency`.
 #pragma once
 
-#include <functional>
 #include <map>
 
 #include "k8s/allocation.h"
@@ -84,7 +83,9 @@ class HpaAllocationPolicy : public AllocationPolicy {
   void SetNow(SimTime now) const { now_hint_ = now; }
 };
 
-/// Wires the HPA control loop onto a system's simulator.
+/// Wires the HPA control loop onto a system's simulator; destroying the
+/// controller cancels both of its periodic events. The system must outlive
+/// the controller.
 class HpaController {
  public:
   HpaController(EdgeCloudSystem* system, HpaAllocationPolicy* policy);
@@ -93,7 +94,9 @@ class HpaController {
   HpaController& operator=(const HpaController&) = delete;
 
  private:
-  std::function<void()> stop_;
+  sim::Simulator* sim_ = nullptr;
+  sim::EventHandle clock_ = sim::kInvalidEvent;
+  sim::EventHandle loop_ = sim::kInvalidEvent;
 };
 
 }  // namespace tango::k8s

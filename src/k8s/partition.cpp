@@ -7,18 +7,6 @@
 
 namespace tango::k8s {
 
-const char* PartitionStrategyName(PartitionStrategy s) {
-  switch (s) {
-    case PartitionStrategy::kContiguous:
-      return "contiguous";
-    case PartitionStrategy::kRoundRobin:
-      return "round-robin";
-    case PartitionStrategy::kWorkerBalanced:
-      return "worker-balanced";
-  }
-  return "?";
-}
-
 Partition PartitionClusters(const std::vector<ClusterSpec>& specs,
                             int num_shards, PartitionStrategy strategy) {
   const int n = static_cast<int>(specs.size());

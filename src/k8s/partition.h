@@ -34,8 +34,6 @@ enum class PartitionStrategy {
   kWorkerBalanced,
 };
 
-const char* PartitionStrategyName(PartitionStrategy s);
-
 struct Partition {
   int num_shards = 1;
   /// shard_of[c] = shard owning cluster id c.

@@ -41,8 +41,7 @@ EdgeCloudSystem::EdgeCloudSystem(SystemConfig cfg,
       catalog_, NativeAllocationPolicy::ProportionalFractions(*catalog_));
   default_policy_ = native_policy_.get();
   egress_ = net::EgressRegulator(cfg_.egress);
-  central_ = cfg_.central_cluster >= 0 ? ClusterId{cfg_.central_cluster}
-                                       : topology_.CentralCluster();
+  central_ = topology_.CentralCluster();
   acting_central_ = central_;
   master_alive_.assign(cfg_.clusters.size(), true);
   BuildClusters();
@@ -155,11 +154,6 @@ const metrics::StateStorage& EdgeCloudSystem::LcStorage(
   return clusters_[static_cast<std::size_t>(cluster.value)].lc_storage;
 }
 
-int EdgeCloudSystem::lc_queue_length(ClusterId cluster) const {
-  return static_cast<int>(
-      clusters_[static_cast<std::size_t>(cluster.value)].lc_queue.size());
-}
-
 std::int64_t EdgeCloudSystem::total_scaling_ops() const {
   std::int64_t total = 0;
   for (const WorkerNode* node : worker_list_) total += node->scaling_ops();
@@ -180,9 +174,6 @@ SimDuration EdgeCloudSystem::Transfer(ClusterId from, ClusterId to,
   if (lf.latency_mult > 1.0) {
     propagation = static_cast<SimDuration>(
         static_cast<double>(propagation) * lf.latency_mult);
-  }
-  if (!cfg_.regulate_bandwidth) {
-    return propagation + TransferTime(size, topology_.Bandwidth(from, to));
   }
   // LAN transfers are effectively free of uplink contention.
   if (from == to) {

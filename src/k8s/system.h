@@ -46,12 +46,9 @@ struct SystemConfig {
   /// Data-collection period — 800 ms per §6.2.
   SimDuration metrics_period = 800 * kMillisecond;
   WorkerNode::Tunables node_tunables{};
-  /// Central cluster override (-1 = geographically central one).
-  int central_cluster = -1;
-  /// Model per-cluster egress bandwidth contention (§4.1 lists bandwidth
-  /// among the compressible resources; the regulator gives LC priority
-  /// whenever the allocation policy preempts BE for LC).
-  bool regulate_bandwidth = true;
+  /// Per-cluster egress bandwidth contention (§4.1 lists bandwidth among
+  /// the compressible resources; the regulator gives LC priority whenever
+  /// the allocation policy preempts BE for LC).
   net::EgressConfig egress{};
   std::uint64_t seed = 1234;
   /// How long until a master's failure detector notices lost in-flight
@@ -195,7 +192,6 @@ class EdgeCloudSystem {
   const metrics::StateStorage& BeStorage() const { return be_storage_; }
   const net::EgressRegulator& egress() const { return egress_; }
   const workload::ServiceCatalog& catalog() const { return *catalog_; }
-  int lc_queue_length(ClusterId cluster) const;
   int be_queue_length() const {
     return static_cast<int>(be_queue_.size());
   }

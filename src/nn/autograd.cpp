@@ -284,26 +284,6 @@ Var Relu(const Var& a) {
   });
 }
 
-Var LeakyRelu(const Var& a, float slope) {
-  Matrix out = a->value;
-  for (int r = 0; r < out.rows(); ++r) {
-    for (int c = 0; c < out.cols(); ++c) {
-      const float v = out.at(r, c);
-      out.at(r, c) = v > 0.0f ? v : slope * v;
-    }
-  }
-  return MakeNode(std::move(out), {a}, [slope](Node& n, std::size_t, Matrix&) {
-    Matrix& ag = n.parents[0]->EnsureGrad();
-    for (int r = 0; r < n.grad.rows(); ++r) {
-      for (int c = 0; c < n.grad.cols(); ++c) {
-        const float factor =
-            n.parents[0]->value.at(r, c) > 0.0f ? 1.0f : slope;
-        ag.at(r, c) += factor * n.grad.at(r, c);
-      }
-    }
-  });
-}
-
 Var Tanh(const Var& a) {
   Matrix out = a->value;
   for (int r = 0; r < out.rows(); ++r) {
@@ -394,23 +374,6 @@ Var GatherCols(const Var& a, const std::vector<int>& idx) {
   });
 }
 
-Var GatherRows(const Var& a, const std::vector<int>& rows) {
-  Matrix out(static_cast<int>(rows.size()), a->value.cols());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    for (int c = 0; c < a->value.cols(); ++c) {
-      out.at(static_cast<int>(i), c) = a->value.at(rows[i], c);
-    }
-  }
-  return MakeNode(std::move(out), {a}, [rows](Node& n, std::size_t, Matrix&) {
-    Matrix& ag = n.parents[0]->EnsureGrad();
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      for (int c = 0; c < n.grad.cols(); ++c) {
-        ag.at(rows[i], c) += n.grad.at(static_cast<int>(i), c);
-      }
-    }
-  });
-}
-
 Var ConcatCols(const Var& a, const Var& b) {
   TANGO_CHECK(a->value.rows() == b->value.rows(), "concat rows mismatch");
   Matrix out(a->value.rows(), a->value.cols() + b->value.cols());
@@ -455,12 +418,6 @@ Var Sum(const Var& a) {
       for (int c = 0; c < ag.cols(); ++c) ag.at(r, c) += g;
     }
   });
-}
-
-Var MeanAll(const Var& a) {
-  const float inv =
-      1.0f / static_cast<float>(a->value.rows() * a->value.cols());
-  return Scale(Sum(a), inv);
 }
 
 float ScalarValue(const Var& a) {

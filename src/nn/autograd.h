@@ -130,7 +130,6 @@ Var Sub(const Var& a, const Var& b);
 Var Mul(const Var& a, const Var& b);
 Var Scale(const Var& a, float s);
 Var Relu(const Var& a);
-Var LeakyRelu(const Var& a, float slope = 0.2f);
 Var Tanh(const Var& a);
 Var Exp(const Var& a);
 
@@ -146,9 +145,6 @@ Var LogSoftmax(const Var& logits, const Matrix* mask = nullptr);
 /// Select entry (row, col) per row: out is R×1 with out[r] = a[r, idx[r]].
 Var GatherCols(const Var& a, const std::vector<int>& idx);
 
-/// Select a subset of rows: out[i] = a[rows[i]].
-Var GatherRows(const Var& a, const std::vector<int>& rows);
-
 /// Horizontal concat [a | b].
 Var ConcatCols(const Var& a, const Var& b);
 
@@ -157,8 +153,6 @@ Var Transpose(const Var& a);
 
 /// Sum all entries to a 1×1 scalar.
 Var Sum(const Var& a);
-/// Mean of all entries to a 1×1 scalar.
-Var MeanAll(const Var& a);
 
 /// Scalar read of a 1×1 node.
 float ScalarValue(const Var& a);

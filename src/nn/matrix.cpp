@@ -58,12 +58,6 @@ Matrix Matrix::MatMul(const Matrix& other) const {
   return out;
 }
 
-Matrix Matrix::TransposedMatMul(const Matrix& other) const {
-  Matrix out(cols_, other.cols_);
-  MatMulTransAInto(*this, other, &out);
-  return out;
-}
-
 void Matrix::Add(const Matrix& other) {
   TANGO_CHECK(SameShape(other), "add shape mismatch");
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];

@@ -57,8 +57,6 @@ class Matrix {
 
   /// this * other (asserts on shape mismatch).
   Matrix MatMul(const Matrix& other) const;
-  /// thisᵀ * other, without materialising thisᵀ.
-  Matrix TransposedMatMul(const Matrix& other) const;
 
   /// In-place accumulate: this += other (same shape).
   void Add(const Matrix& other);

@@ -135,8 +135,6 @@ void A2cAgent::Train(const GraphState& bootstrap_state, bool done) {
   Var total_loss;
   std::vector<Var> step_losses;
   step_losses.reserve(rollout_.size());
-  float policy_loss_acc = 0.0f;
-  float value_loss_acc = 0.0f;
   for (std::size_t i = 0; i < rollout_.size(); ++i) {
     Step& step = rollout_[i];
     const int n = step.state.graph.num_nodes();
@@ -168,8 +166,6 @@ void A2cAgent::Train(const GraphState& bootstrap_state, bool done) {
     const Var ent = nn::Scale(nn::EntropyOfSoftmax(logits, &mask),
                               -cfg_.entropy_coef);
     Var loss = nn::Add(nn::Add(pg, vloss), ent);
-    policy_loss_acc += nn::ScalarValue(pg);
-    value_loss_acc += nn::ScalarValue(vloss);
     total_loss = total_loss ? nn::Add(total_loss, loss) : loss;
     step_losses.push_back(std::move(loss));
   }
@@ -181,8 +177,6 @@ void A2cAgent::Train(const GraphState& bootstrap_state, bool done) {
   nn::BackwardSteps(total_loss, step_losses, pool);
   opt_->Step(&pool);
   ++train_steps_;
-  last_policy_loss_ = policy_loss_acc / static_cast<float>(rollout_.size());
-  last_value_loss_ = value_loss_acc / static_cast<float>(rollout_.size());
 }
 
 // ---------------------------------------------------------------- SAC ----

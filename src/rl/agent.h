@@ -80,10 +80,6 @@ class A2cAgent : public Agent {
   std::string name() const override;
   std::int64_t train_steps() const override { return train_steps_; }
 
-  /// Last training losses, for tests/telemetry.
-  float last_policy_loss() const { return last_policy_loss_; }
-  float last_value_loss() const { return last_value_loss_; }
-  std::size_t param_count() const { return store_.ParamCount(); }
   const nn::ParamStore& params() const { return store_; }
 
   /// Rollout steps whose act-time forward the update reused, and steps it
@@ -119,8 +115,6 @@ class A2cAgent : public Agent {
   std::int64_t train_steps_ = 0;
   std::int64_t reuse_hits_ = 0;
   std::int64_t reuse_misses_ = 0;
-  float last_policy_loss_ = 0.0f;
-  float last_value_loss_ = 0.0f;
 };
 
 struct SacConfig {

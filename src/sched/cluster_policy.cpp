@@ -189,10 +189,4 @@ void RankBeClusters(const std::vector<ClusterView>& views,
                    });
 }
 
-std::vector<ClusterId> RankBeClusters(const std::vector<ClusterView>& views) {
-  std::vector<ClusterId> order;
-  RankBeClusters(views, &order);
-  return order;
-}
-
 }  // namespace tango::sched

@@ -138,10 +138,9 @@ ClusterId PickSpillCluster(const std::vector<ClusterView>& candidates,
 /// per-worker admission stays with the *target* cluster's loop (see
 /// hrm::BeGuard), keeping the global layer aggregate-only.
 ///
-/// The scratch overload fills a caller-retained buffer so steady-state
-/// dispatch ticks stay allocation-free once the buffer reaches capacity.
+/// Fills a caller-retained buffer so steady-state dispatch ticks stay
+/// allocation-free once the buffer reaches capacity.
 void RankBeClusters(const std::vector<ClusterView>& views,
                     std::vector<ClusterId>* order);
-std::vector<ClusterId> RankBeClusters(const std::vector<ClusterView>& views);
 
 }  // namespace tango::sched

@@ -195,7 +195,7 @@ std::optional<NodeId> LearnedBeScheduler::ScheduleOne(
     agent_->Observe(last_reward_, state, /*done=*/false);
   }
 
-  const int action = agent_->Act(state, /*greedy=*/!cfg_.explore);
+  const int action = agent_->Act(state);
   TANGO_CHECK(action >= 0 && action < state.graph.num_nodes(),
               "action out of range");
   has_pending_ = true;

@@ -29,8 +29,6 @@ struct LearnedBeConfig {
   int inter_cluster_links = 2;
   /// η — weight of the long-term reward component.
   float eta = 1.0f;
-  /// Explore during the run; set false to act greedily (evaluation mode).
-  bool explore = true;
   BeGranularity granularity = BeGranularity::kNode;
   /// Learning rate. The paper fixes 2e-4 over hours-long traces; compressed
   /// experiment horizons scale it up proportionally (see DESIGN.md).

@@ -132,39 +132,4 @@ bool WriteChromeTraceFile(const std::string& path, const Tracer& tracer) {
   return static_cast<bool>(out);
 }
 
-std::size_t WriteMetricsCsv(std::ostream& out,
-                            const std::vector<MetricRow>& rows) {
-  out << "name,kind,count,value,p50,p95,p99\n";
-  for (const MetricRow& r : rows) {
-    out << r.name << "," << r.kind << "," << r.count << "," << r.value << ","
-        << r.p50 << "," << r.p95 << "," << r.p99 << "\n";
-  }
-  return rows.size();
-}
-
-bool WriteMetricsCsvFile(const std::string& path,
-                         const std::vector<MetricRow>& rows) {
-  std::ofstream out(path);
-  if (!out) return false;
-  WriteMetricsCsv(out, rows);
-  return static_cast<bool>(out);
-}
-
-std::size_t WriteMetricsJson(std::ostream& out,
-                             const std::vector<MetricRow>& rows) {
-  out << "[";
-  bool first = true;
-  for (const MetricRow& r : rows) {
-    if (!first) out << ",";
-    first = false;
-    out << "\n  {\"name\": \"";
-    WriteEscaped(out, r.name.c_str());
-    out << "\", \"kind\": \"" << r.kind << "\", \"count\": " << r.count
-        << ", \"value\": " << r.value << ", \"p50\": " << r.p50
-        << ", \"p95\": " << r.p95 << ", \"p99\": " << r.p99 << "}";
-  }
-  out << "\n]\n";
-  return rows.size();
-}
-
 }  // namespace tango::scope

@@ -10,10 +10,7 @@
 //   - node/service/request/value/parent ride in "args", so a request's
 //     causal chain reconstructs by its request id plus parent handles.
 // Spans still open at export time are skipped (their end is unknown).
-//
-// Metric summaries export as CSV (`name,kind,count,value,p50,p95,p99`)
-// and as a JSON array of the same rows; eval/export.h wraps the CSV with
-// an experiment-label column for multi-run tables.
+// Metric snapshots export through eval/export.h's labeled CSV.
 #pragma once
 
 #include <cstddef>
@@ -21,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "scope/metrics.h"
 #include "scope/scope.h"
 
 namespace tango::scope {
@@ -49,16 +45,5 @@ std::size_t WriteChromeTrace(std::ostream& out,
                              const std::vector<const Tracer*>& tracers);
 bool WriteChromeTraceFile(const std::string& path,
                           const std::vector<const Tracer*>& tracers);
-
-/// `name,kind,count,value,p50,p95,p99` with a header row. Returns rows
-/// written (excluding the header).
-std::size_t WriteMetricsCsv(std::ostream& out,
-                            const std::vector<MetricRow>& rows);
-bool WriteMetricsCsvFile(const std::string& path,
-                         const std::vector<MetricRow>& rows);
-
-/// The same rows as a JSON array of objects.
-std::size_t WriteMetricsJson(std::ostream& out,
-                             const std::vector<MetricRow>& rows);
 
 }  // namespace tango::scope

@@ -154,8 +154,7 @@ class Tracer {
 };
 
 /// The process-global tracer every instrumentation site emits to. Enable
-/// it (eval::RunExperiment does when ExperimentConfig::trace_path is set;
-/// examples/chaos_demo always does) and export with scope/export.h.
+/// it (examples/chaos_demo does) and export with scope/export.h.
 Tracer& DefaultTracer();
 
 /// True only when the subsystem is compiled in (TANGO_SCOPE=ON) and the

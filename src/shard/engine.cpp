@@ -178,9 +178,8 @@ RunResult ShardEngine::Run() {
   const bool serial =
       cfg_.deterministic_reference || partition_.num_shards == 1;
   if (!serial && pool_ == nullptr) {
-    const int threads = cfg_.num_threads > 0 ? cfg_.num_threads
-                                             : partition_.num_shards - 1;
-    pool_ = std::make_unique<ThreadPool>(threads);
+    // One pool thread per shard but one: the calling thread takes a shard.
+    pool_ = std::make_unique<ThreadPool>(partition_.num_shards - 1);
   }
 
   const auto num_shards = static_cast<std::size_t>(partition_.num_shards);

@@ -64,9 +64,6 @@ struct EngineConfig {
   bool deterministic_reference = false;
   k8s::PartitionStrategy partition_strategy =
       k8s::PartitionStrategy::kWorkerBalanced;
-  /// Pool threads for the epoch fan-out; 0 = one per shard (minus the
-  /// calling thread, which always participates).
-  int num_threads = 0;
   /// Override the epoch length (tests only). Must not exceed the
   /// topology's MinCrossClusterLatency — a longer epoch would violate the
   /// conservative lookahead and the engine refuses it.

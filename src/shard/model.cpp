@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <utility>
 
 #include "audit/audit.h"
@@ -79,10 +78,6 @@ ClusterModel::ClusterModel(const ModelConfig* cfg,
 
   workers_.resize(static_cast<std::size_t>(spec_.num_workers));
   be_used_.assign(workers_.size(), 0);
-  if (cfg_->interference != nullptr) {
-    membw_load_.assign(workers_.size(), 0.0);
-    llc_load_.assign(workers_.size(), 0.0);
-  }
   worker_execs_.resize(workers_.size());
   for (auto& w : workers_) {
     w.capacity = spec_.heterogeneous
@@ -109,12 +104,6 @@ ClusterModel::ClusterModel(const ModelConfig* cfg,
   std::sort(by_delay.begin(), by_delay.end());
   delegate_order_.reserve(by_delay.size());
   for (const auto& entry : by_delay) delegate_order_.push_back(entry.second);
-}
-
-Millicores ClusterModel::capacity_total() const {
-  Millicores total = 0;
-  for (const auto& w : workers_) total += w.capacity;
-  return total;
 }
 
 void ClusterModel::Start() {
@@ -530,36 +519,14 @@ void ClusterModel::StartExec(std::int32_t worker, const Payload& p) {
   e.req = p;
   e.worker = worker;
   e.live = true;
-  const sched::WorkerView& w = workers_[static_cast<std::size_t>(worker)];
-  // Admission-time interference: the incoming request's exec time is
-  // inflated by its response to the worker's co-runner pressure, read
-  // before the request's own contribution lands. The enabled-only block
-  // keeps disabled runs byte-identical.
-  SimDuration exec_us = p.exec_us;
-  if (cfg_->interference != nullptr) {
-    const double cap_cores = static_cast<double>(w.capacity) / 1000.0;
-    storm::PressureVec v;
-    v.cpu = static_cast<double>(w.used) / static_cast<double>(w.capacity);
-    v.membw = membw_load_[static_cast<std::size_t>(worker)] / cap_cores;
-    v.llc = llc_load_[static_cast<std::size_t>(worker)] / cap_cores;
-    const double f = cfg_->interference->Inflation(p.service, v);
-    exec_us = static_cast<SimDuration>(
-        std::ceil(static_cast<double>(exec_us) * f));
-    if (exec_us < 1) exec_us = 1;
-    const auto& prof = cfg_->interference->Profile(p.service);
-    const double cores = static_cast<double>(p.demand) / 1000.0;
-    membw_load_[static_cast<std::size_t>(worker)] +=
-        prof.membw_intensity * cores;
-    llc_load_[static_cast<std::size_t>(worker)] += prof.llc_intensity * cores;
-  }
-  sched::WorkerView next = w;
+  sched::WorkerView next = workers_[static_cast<std::size_t>(worker)];
   next.used += p.demand;
   UpdateWorker(worker, next,
                be_used_[static_cast<std::size_t>(worker)] +
                    (p.is_lc ? 0 : p.demand));
   // TANGOVET_ALLOW_NEXT(amortized: pooled capacity)
   worker_execs_[static_cast<std::size_t>(worker)].push_back(slot);
-  e.done = sim_->ScheduleAfter(exec_us, [this, slot] { FinishExec(slot); });
+  e.done = sim_->ScheduleAfter(p.exec_us, [this, slot] { FinishExec(slot); });
   if (p.is_lc && p.origin != id_) ++stats_.lc_remote;
   FoldEvent(kDigExec, p.uid, static_cast<std::uint64_t>(worker));
 }
@@ -572,14 +539,6 @@ void ClusterModel::ReleaseExec(std::int32_t slot) {
   UpdateWorker(e.worker, next,
                be_used_[static_cast<std::size_t>(e.worker)] -
                    (e.req.is_lc ? 0 : e.req.demand));
-  if (cfg_->interference != nullptr) {
-    const auto& prof = cfg_->interference->Profile(e.req.service);
-    const double cores = static_cast<double>(e.req.demand) / 1000.0;
-    membw_load_[static_cast<std::size_t>(e.worker)] -=
-        prof.membw_intensity * cores;
-    llc_load_[static_cast<std::size_t>(e.worker)] -=
-        prof.llc_intensity * cores;
-  }
   auto& list = worker_execs_[static_cast<std::size_t>(e.worker)];
   const auto it = std::find(list.begin(), list.end(), slot);
   TANGO_CHECK(it != list.end(), "exec slot missing from worker list");

@@ -42,7 +42,6 @@
 #include "shard/mailbox.h"
 #include "shard/message.h"
 #include "sim/simulator.h"
-#include "storm/interference.h"
 #include "storm/scenario.h"
 #include "workload/service.h"
 
@@ -74,10 +73,6 @@ struct ModelConfig {
   /// no matter how clusters are packed onto shards.
   const storm::ScenarioConfig* scenario = nullptr;
   storm::ScenarioKind scenario_kind = storm::ScenarioKind::kSteady;
-  /// Co-location interference: inflate a request's execution time at
-  /// admission by its sensitivity response to the target worker's
-  /// co-runner pressure. Null (default) = off, byte-identical runs.
-  const storm::InterferenceModel* interference = nullptr;
   SimTime end_time = 10 * kSecond;
   Bytes delta_bytes = 256;    // state-sync delta payload size
   Bytes control_bytes = 128;  // master up/down, nack, reject payload size
@@ -164,7 +159,6 @@ class ClusterModel {
   /// FNV-1a over every externally visible transition, in per-cluster event
   /// order — the determinism witness compared across shard counts.
   std::uint64_t digest() const { return digest_; }
-  Millicores capacity_total() const;
 
   /// One row per metrics period: mean CPU utilization over alive workers.
   struct PeriodRow {
@@ -285,10 +279,6 @@ class ClusterModel {
   sched::WorkerIndex worker_index_;
   std::uint64_t index_audit_tick_ = 0;  // UpdateWorker calls since a rescan
   std::vector<std::vector<std::int32_t>> worker_execs_;
-  /// Per-worker co-runner pressure loads (intensity × granted cores),
-  /// allocated and maintained only when cfg_->interference is set.
-  std::vector<double> membw_load_;
-  std::vector<double> llc_load_;
   std::unique_ptr<storm::ScenarioSource> storm_source_;
 
   std::vector<Exec> execs_;

@@ -264,16 +264,4 @@ void Simulator::ReserveEvents(std::size_t n) {
   pos_.reserve(n);
 }
 
-std::function<void()> SchedulePeriodic(Simulator& sim, SimTime start,
-                                       SimDuration period,
-                                       std::function<void(SimTime)> tick) {
-  TANGO_CHECK(period > 0, "periodic tick needs a positive period");
-  Simulator* s = &sim;
-  const EventHandle handle = sim.StartPeriodic(
-      start, period, [s, t = std::move(tick)]() mutable { t(s->Now()); });
-  // Cancel is generation-checked, so calling the stopper twice (or after the
-  // slot was recycled) is a safe no-op.
-  return [s, handle]() { s->Cancel(handle); };
-}
-
 }  // namespace tango::sim

@@ -277,12 +277,4 @@ class Simulator {
   std::vector<std::int32_t> pos_;
 };
 
-/// Convenience: schedule a callback every `period` starting at `start`.
-/// Returns a function that stops the ticking when invoked (idempotent).
-/// Thin wrapper over Simulator::StartPeriodic, kept for call sites that
-/// want a type-erased stopper instead of a handle.
-std::function<void()> SchedulePeriodic(Simulator& sim, SimTime start,
-                                       SimDuration period,
-                                       std::function<void(SimTime)> tick);
-
 }  // namespace tango::sim

@@ -252,25 +252,4 @@ Trace GenerateGoogleStyle(const TraceConfig& cfg) {
   return trace;
 }
 
-Trace MergeTraces(std::vector<Trace> traces) {
-  Trace merged;
-  for (auto& t : traces) {
-    merged.insert(merged.end(), t.begin(), t.end());
-  }
-  FinalizeTrace(merged);
-  return merged;
-}
-
-TraceStats CountByClass(const Trace& trace, const ServiceCatalog& catalog) {
-  TraceStats st;
-  for (const auto& r : trace) {
-    if (catalog.Get(r.service).is_lc()) {
-      ++st.lc;
-    } else {
-      ++st.be;
-    }
-  }
-  return st;
-}
-
 }  // namespace tango::workload

@@ -68,15 +68,4 @@ Trace GenerateDiurnal(const TraceConfig& cfg, double hours = 24.0);
 /// heavy-tailed per-request work scales.
 Trace GenerateGoogleStyle(const TraceConfig& cfg);
 
-/// Merge traces and re-sort by arrival (stable; reassigns request ids).
-Trace MergeTraces(std::vector<Trace> traces);
-
-/// Count requests of each class in a trace.
-struct TraceStats {
-  int lc = 0;
-  int be = 0;
-  int total() const { return lc + be; }
-};
-TraceStats CountByClass(const Trace& trace, const ServiceCatalog& catalog);
-
 }  // namespace tango::workload

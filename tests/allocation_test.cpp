@@ -309,10 +309,6 @@ TEST(HrmPolicy, AdmissionLatencyIsDvpaOp) {
   const ServiceCatalog cat = ServiceCatalog::Standard();
   hrm::HrmAllocationPolicy p(&cat);
   EXPECT_NEAR(ToMilliseconds(p.AdmissionLatency()), 23.0, 0.1);
-  hrm::HrmConfig free_cfg;
-  free_cfg.charge_scaling_latency = false;
-  hrm::HrmAllocationPolicy p2(&cat, free_cfg);
-  EXPECT_EQ(p2.AdmissionLatency(), 0);
 }
 
 // ----------------------------------------------------------------- CERES --

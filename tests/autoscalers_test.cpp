@@ -93,6 +93,30 @@ TEST(Hpa, MaxReplicasClamped) {
   EXPECT_LE(hpa.TotalReplicas(NodeId{1}, ServiceId{0}), 3);
 }
 
+TEST(Hpa, ControllerStopsBothLoopsWhenDestroyed) {
+  const ServiceCatalog cat = ServiceCatalog::Standard();
+  k8s::SystemConfig sys;
+  sys.clusters = eval::PhysicalClusters(1);
+  EdgeCloudSystem system(sys, &cat);
+  sim::Simulator& sim = system.simulator();
+  HpaAllocationPolicy hpa(&cat);
+  const SimDuration period = hpa.config().period;
+  const std::size_t before = sim.pending_events();
+  const std::vector<ExecSlot> running{Slot(cat, 0, 1), Slot(cat, 0, 2)};
+  {
+    HpaController controller(&system, &hpa);
+    EXPECT_EQ(sim.pending_events(), before + 2);  // clock and control loop
+    hpa.Admit(StdNode(), Slot(cat, 0, 3), running);  // 3 against 1 replica
+    sim.RunUntil(period);
+    EXPECT_EQ(hpa.scale_ups(), 1);  // one pass ran while the controller lived
+  }
+  EXPECT_EQ(sim.pending_events(), before);
+  // A pass now would see no demand and scale the deployment back down.
+  sim.RunUntil(3 * period);
+  EXPECT_EQ(hpa.scale_downs(), 0);
+  EXPECT_EQ(hpa.TotalReplicas(NodeId{1}, ServiceId{0}), 4);
+}
+
 TEST(Hpa, EndToEndLagsBehindBursts) {
   // The §2.1 argument, end to end: the same bursty LC workload under HRM
   // (D-VPA, 23 ms scale ops) vs HPA (15 s loop + 2.3 s cold start). HPA must

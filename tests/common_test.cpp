@@ -117,17 +117,6 @@ TEST(Rng, ExponentialMeanMatchesRate) {
   EXPECT_NEAR(sum / n, 2.0, 0.1);
 }
 
-TEST(Rng, ForkProducesIndependentStream) {
-  Rng parent(23);
-  Rng child = parent.Fork();
-  // Child and parent should not produce identical streams.
-  int same = 0;
-  for (int i = 0; i < 32; ++i) {
-    if (parent.NextU64() == child.NextU64()) ++same;
-  }
-  EXPECT_LT(same, 2);
-}
-
 TEST(Rng, ParetoRespectsScaleFloor) {
   Rng rng(29);
   for (int i = 0; i < 1000; ++i) {

@@ -21,7 +21,7 @@ workload::ServiceCatalog BulkCatalog() {
   return workload::ServiceCatalog(std::move(specs));
 }
 
-k8s::RunSummary RunBulk(bool with_hrm, bool regulate,
+k8s::RunSummary RunBulk(bool with_hrm,
                         const workload::ServiceCatalog& catalog) {
   workload::TraceConfig tc;
   tc.catalog = &catalog;
@@ -36,7 +36,6 @@ k8s::RunSummary RunBulk(bool with_hrm, bool regulate,
   k8s::SystemConfig sys;
   sys.clusters = eval::PhysicalClusters(3);
   sys.region_km = 450.0;
-  sys.regulate_bandwidth = regulate;
   sys.egress.uplink = 120'000;  // 120 Mbps uplinks: BE bulk congests them
   sys.seed = 5;
   k8s::EdgeCloudSystem system(sys, &catalog);
@@ -50,22 +49,12 @@ k8s::RunSummary RunBulk(bool with_hrm, bool regulate,
 
 TEST(EgressIntegration, HrmShieldsLcLatencyFromBeBulk) {
   const auto catalog = BulkCatalog();
-  const auto hrm = RunBulk(/*with_hrm=*/true, /*regulate=*/true, catalog);
-  const auto fair = RunBulk(/*with_hrm=*/false, /*regulate=*/true, catalog);
+  const auto hrm = RunBulk(/*with_hrm=*/true, catalog);
+  const auto fair = RunBulk(/*with_hrm=*/false, catalog);
   // Under LC-priority egress the LC latency distribution must be no worse
   // than fair sharing — and clearly better at the tail.
   EXPECT_LE(hrm.p95_latency_ms, fair.p95_latency_ms);
   EXPECT_GE(hrm.qos_satisfaction, fair.qos_satisfaction);
-}
-
-TEST(EgressIntegration, RegulationTogglesCleanly) {
-  const auto catalog = BulkCatalog();
-  const auto off = RunBulk(true, /*regulate=*/false, catalog);
-  const auto on = RunBulk(true, /*regulate=*/true, catalog);
-  // Both configurations complete the workload; regulation only moves
-  // transfer delays around.
-  EXPECT_EQ(off.lc_completed + off.lc_abandoned, off.lc_total);
-  EXPECT_EQ(on.lc_completed + on.lc_abandoned, on.lc_total);
 }
 
 TEST(EgressIntegration, FullTangoStackIsDeterministic) {

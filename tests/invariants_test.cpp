@@ -42,16 +42,14 @@ TEST_P(InvariantTest, EndToEndInvariantsHold) {
   // Sample node state during the run to check capacity invariants live.
   bool capacity_ok = true;
   bool mem_ok = true;
-  sim::SchedulePeriodic(system.simulator(), 500 * kMillisecond,
-                        500 * kMillisecond, [&](SimTime) {
-                          for (auto* w : system.AllWorkers()) {
-                            capacity_ok = capacity_ok &&
-                                          w->cpu_in_use() <=
-                                              w->spec().capacity.cpu;
-                            mem_ok = mem_ok && w->mem_in_use() <=
-                                                   w->spec().capacity.mem;
-                          }
-                        });
+  system.simulator().StartPeriodic(
+      500 * kMillisecond, 500 * kMillisecond, [&] {
+        for (auto* w : system.AllWorkers()) {
+          capacity_ok =
+              capacity_ok && w->cpu_in_use() <= w->spec().capacity.cpu;
+          mem_ok = mem_ok && w->mem_in_use() <= w->spec().capacity.mem;
+        }
+      });
   system.Run(tc.duration + 60 * kSecond);
 
   // 1. CPU grants never exceed node capacity; memory never oversubscribed.

@@ -106,7 +106,6 @@ TEST(Autograd, ActivationGradients) {
     }
   }
   CheckGradients(a, [&] { return Sum(Relu(a)); });
-  CheckGradients(a, [&] { return Sum(LeakyRelu(a)); });
   CheckGradients(a, [&] { return Sum(Tanh(a)); });
   CheckGradients(a, [&] { return Sum(Exp(a)); }, 1e-2f, 5e-2f);
 }
@@ -161,21 +160,22 @@ TEST(Autograd, LogSoftmaxMatchesLogOfSoftmax) {
   }
 }
 
-TEST(Autograd, GatherColsAndRows) {
+TEST(Autograd, GatherColsPicksOnePerRow) {
   Var a = Constant(Matrix::FromRows({{1, 2, 3}, {4, 5, 6}}));
   const Var picked = GatherCols(a, {2, 0});
+  EXPECT_EQ(picked->value.rows(), 2);
+  EXPECT_EQ(picked->value.cols(), 1);
   EXPECT_FLOAT_EQ(picked->value.at(0, 0), 3);
   EXPECT_FLOAT_EQ(picked->value.at(1, 0), 4);
-  const Var rows = GatherRows(a, {1, 1, 0});
-  EXPECT_EQ(rows->value.rows(), 3);
-  EXPECT_FLOAT_EQ(rows->value.at(0, 1), 5);
-  EXPECT_FLOAT_EQ(rows->value.at(2, 0), 1);
 }
 
 TEST(Autograd, GatherGradientsAccumulate) {
+  // Two gathers pick a(0,0) and a(2,2): both add into the same entries.
   Rng rng(9);
   Var a = Parameter(RandomMatrix(3, 3, rng));
-  CheckGradients(a, [&] { return Sum(GatherRows(a, {0, 0, 2})); });
+  CheckGradients(a, [&] {
+    return Sum(Add(GatherCols(a, {0, 1, 2}), GatherCols(a, {0, 0, 2})));
+  });
 }
 
 TEST(Autograd, ConcatColsGradients) {
@@ -198,10 +198,10 @@ TEST(Autograd, TransposeGradients) {
   CheckGradients(a, [&] { return Sum(Mul(Transpose(a), w)); });
 }
 
-TEST(Autograd, MeanAllAndScalar) {
+TEST(Autograd, SumAndMeanToScalar) {
   Var a = Constant(Matrix::FromRows({{2, 4}, {6, 8}}));
-  EXPECT_FLOAT_EQ(ScalarValue(MeanAll(a)), 5.0f);
   EXPECT_FLOAT_EQ(ScalarValue(Sum(a)), 20.0f);
+  EXPECT_FLOAT_EQ(ScalarValue(Scale(Sum(a), 0.25f)), 5.0f);
 }
 
 TEST(Autograd, EntropyValueAndGradients) {
@@ -253,7 +253,7 @@ TEST(Adam, ConvergesOnLeastSquares) {
   float loss = 0.0f;
   for (int it = 0; it < 400; ++it) {
     Var diff = Sub(MatMul(Constant(x), w), Constant(y));
-    Var l = MeanAll(Mul(diff, diff));
+    Var l = Scale(Sum(Mul(diff, diff)), 1.0f / 16.0f);  // mean over rows
     loss = ScalarValue(l);
     Backward(l);
     opt.Step();
@@ -485,8 +485,8 @@ TEST(Gemm, Avx2MatchesNaiveBitForBit) {
 }
 
 TEST(Gemm, MatchesNaiveExactlyAcrossShapes) {
-  // Matrix's own entry points on the active variant, at the paper's layer
-  // sizes; sprinkled exact zeros exercise the sparse-row skip.
+  // Matrix::MatMul and MatMulTransAInto on the active variant, at the
+  // paper's layer sizes; sprinkled exact zeros exercise the sparse-row skip.
   Rng rng(31);
   const int shapes[][3] = {{1, 9, 64},   {6, 64, 256}, {3, 256, 128},
                            {2, 128, 32}, {5, 32, 1},   {4, 47, 49},
@@ -501,8 +501,9 @@ TEST(Gemm, MatchesNaiveExactlyAcrossShapes) {
     }
     ExpectSameBits(NaiveMatMul(a, b), a.MatMul(b), "MatMul");
     const Matrix c = RandomMatrix(s[0], s[2], rng);
-    ExpectSameBits(NaiveMatMul(a.Transposed(), c), a.TransposedMatMul(c),
-                   "TransposedMatMul");
+    Matrix at_c(a.cols(), c.cols());
+    MatMulTransAInto(a, c, &at_c);
+    ExpectSameBits(NaiveMatMul(a.Transposed(), c), at_c, "MatMulTransAInto");
     // a·bᵀ, MatMul's backward into its left operand, on both variants.
     const Matrix bt = b.Transposed();
     for (const GemmIsa isa : {GemmIsa::kBaseline, GemmIsa::kAvx2}) {

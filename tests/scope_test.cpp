@@ -209,7 +209,7 @@ TEST(ScopeConcurrency, ParallelEmissionIsRaceFree) {
 
 // ---- Exporters --------------------------------------------------------
 
-TEST(ScopeExport, ChromeTraceShapeAndMetricsCsv) {
+TEST(ScopeExport, ChromeTraceShape) {
   Tracer t;
   t.Enable({.capacity = 16});
   const SpanId s = t.Begin("exec", "lc", 100,
@@ -226,14 +226,6 @@ TEST(ScopeExport, ChromeTraceShapeAndMetricsCsv) {
   EXPECT_NE(json.find("\"ph\": \"i\""), std::string::npos);
   EXPECT_NE(json.find("\"dur\": 300"), std::string::npos);
   EXPECT_EQ(json.find("pending"), std::string::npos);
-
-  std::ostringstream csv;
-  MetricRegistry reg;
-  reg.GetCounter("a.count").Add(4);
-  EXPECT_EQ(WriteMetricsCsv(csv, reg.Snapshot()), 1u);
-  EXPECT_NE(csv.str().find("name,kind,count,value,p50,p95,p99"),
-            std::string::npos);
-  EXPECT_NE(csv.str().find("a.count,counter,4"), std::string::npos);
 }
 
 // ---- Front-end gating + end-to-end chain reconstruction ---------------

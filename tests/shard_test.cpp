@@ -368,7 +368,6 @@ TEST(ShardEngine, ParallelDrainCountMatchesReference) {
   base.model.lc_rps = 1000.0;
   base.model.be_rps = 100.0;
   base.num_shards = 4;
-  base.num_threads = 4;
   EngineConfig ref = base;
   ref.deterministic_reference = true;
   const RunResult want = ShardEngine(ref).Run();

@@ -152,31 +152,6 @@ TEST(Simulator, EventsCanScheduleMoreEvents) {
   EXPECT_EQ(sim.executed_events(), 10u);
 }
 
-TEST(Simulator, PeriodicTickFiresUntilStopped) {
-  Simulator sim;
-  std::vector<SimTime> ticks;
-  auto stop = SchedulePeriodic(sim, 100, 50, [&](SimTime t) {
-    ticks.push_back(t);
-    (void)t;
-  });
-  sim.RunUntil(300);
-  EXPECT_EQ(ticks, (std::vector<SimTime>{100, 150, 200, 250, 300}));
-  stop();
-  sim.RunUntil(1000);
-  EXPECT_EQ(ticks.size(), 5u);  // no further ticks after stop
-}
-
-TEST(Simulator, PeriodicTickStoppedFromInsideCallback) {
-  Simulator sim;
-  int count = 0;
-  std::function<void()> stop;
-  stop = SchedulePeriodic(sim, 10, 10, [&](SimTime) {
-    if (++count == 3) stop();
-  });
-  sim.RunUntil(10'000);
-  EXPECT_EQ(count, 3);
-}
-
 TEST(Simulator, CancelManyInterleavedCompactsTombstones) {
   // Cancel every other event out of a large batch: the lazy tombstone list
   // must skip exactly the cancelled ones and consume each tombstone on pop.
@@ -239,8 +214,9 @@ TEST(Simulator, CancelFromCallbackAtSameTimestamp) {
 TEST(Simulator, PeriodicStopBeforeFirstTick) {
   Simulator sim;
   int count = 0;
-  auto stop = SchedulePeriodic(sim, 100, 50, [&](SimTime) { ++count; });
-  stop();  // stopped while the first tick is still pending
+  const EventHandle h = sim.StartPeriodic(100, 50, [&] { ++count; });
+  sim.Cancel(h);  // cancelled while the first tick is still pending
+  EXPECT_EQ(sim.pending_events(), 0u);
   sim.RunUntil(1000);
   EXPECT_EQ(count, 0);
 }
@@ -248,23 +224,26 @@ TEST(Simulator, PeriodicStopBeforeFirstTick) {
 TEST(Simulator, PeriodicStopIsIdempotent) {
   Simulator sim;
   int count = 0;
-  auto stop = SchedulePeriodic(sim, 10, 10, [&](SimTime) { ++count; });
+  const EventHandle h = sim.StartPeriodic(10, 10, [&] { ++count; });
   sim.RunUntil(35);
-  stop();
-  stop();  // second call must be a harmless no-op
+  sim.Cancel(h);
+  sim.Cancel(h);  // second cancel must be a harmless no-op
+  bool later_ran = false;
+  sim.ScheduleAt(50, [&] { later_ran = true; });
   sim.RunUntil(1000);
   EXPECT_EQ(count, 3);
+  EXPECT_TRUE(later_ran);
 }
 
 TEST(Simulator, TwoPeriodicsStopIndependently) {
   Simulator sim;
   int a = 0, b = 0;
-  auto stop_a = SchedulePeriodic(sim, 10, 10, [&](SimTime) { ++a; });
-  auto stop_b = SchedulePeriodic(sim, 10, 10, [&](SimTime) { ++b; });
+  const EventHandle ha = sim.StartPeriodic(10, 10, [&] { ++a; });
+  const EventHandle hb = sim.StartPeriodic(10, 10, [&] { ++b; });
   sim.RunUntil(30);
-  stop_a();
+  sim.Cancel(ha);
   sim.RunUntil(60);
-  stop_b();
+  sim.Cancel(hb);
   sim.RunUntil(1000);
   EXPECT_EQ(a, 3);
   EXPECT_EQ(b, 6);

@@ -1,5 +1,5 @@
-// Tests for TangoStorm: streaming scenario generators, the Alibaba trace
-// ingester, and the co-location interference model.
+// Tests for TangoStorm: streaming scenario generators and the co-location
+// interference model.
 //
 // The load-bearing contracts: per-seed determinism (a stream is
 // byte-identical across runs), shard decomposability (the union of
@@ -9,12 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 #include <vector>
 
 #include "eval/scenarios.h"
 #include "shard/engine.h"
-#include "storm/alibaba.h"
 #include "storm/generators.h"
 #include "storm/interference.h"
 #include "storm/scenario.h"
@@ -345,49 +343,6 @@ TEST(StormShard, ScenarioStreamsByteIdenticalAcrossShardCounts) {
   }
 }
 
-TEST(StormShard, DisabledInterferenceIsByteIdentical) {
-  // A model whose profiles are all zero must produce the exact run a null
-  // model does — the inflation hook is the identity, not merely close.
-  const auto catalog = workload::ServiceCatalog::Standard();
-  ScenarioConfig scenario = SmallScenario(catalog);
-  InterferenceModel zero;
-  for (const auto& spec : catalog.all()) {
-    zero.SetProfile(spec.id, SensitivityProfile{});
-  }
-
-  shard::EngineConfig off = StormEngineConfig(
-      &scenario, ScenarioKind::kFlashCrowd, 33);
-  shard::EngineConfig on = off;
-  on.model.interference = &zero;
-  shard::ShardEngine a(std::move(off));
-  shard::ShardEngine b(std::move(on));
-  const shard::RunResult ra = a.Run();
-  const shard::RunResult rb = b.Run();
-  EXPECT_EQ(ra.digest, rb.digest);
-  EXPECT_EQ(ra.cluster_digests, rb.cluster_digests);
-  EXPECT_EQ(ra.totals.lc_completed, rb.totals.lc_completed);
-  EXPECT_EQ(ra.totals.latency_sum_us, rb.totals.latency_sum_us);
-}
-
-TEST(StormShard, InterferenceInflatesLatencyWhenEnabled) {
-  const auto catalog = workload::ServiceCatalog::Standard();
-  ScenarioConfig scenario = SmallScenario(catalog);
-  scenario.rps_per_cluster = 120.0;  // force co-location on every worker
-  const InterferenceModel model = InterferenceModel::Standard(catalog);
-
-  shard::EngineConfig off = StormEngineConfig(
-      &scenario, ScenarioKind::kSteady, 9);
-  shard::EngineConfig on = off;
-  on.model.interference = &model;
-  shard::ShardEngine a(std::move(off));
-  shard::ShardEngine b(std::move(on));
-  const shard::RunResult ra = a.Run();
-  const shard::RunResult rb = b.Run();
-  ASSERT_GT(ra.totals.lc_completed, 0);
-  ASSERT_GT(rb.totals.lc_completed, 0);
-  EXPECT_GT(rb.mean_latency_ms(), ra.mean_latency_ms());
-}
-
 // ---- eval scenario bundles -----------------------------------------------
 
 TEST(StormScenarios, BundleDrainsEveryFamily) {
@@ -422,168 +377,6 @@ TEST(StormScenarios, FailoverBundleFailsTheScenarioRegion) {
       EXPECT_EQ(ev.cluster_a, ClusterId{2});
     }
   }
-}
-
-// ---- Alibaba ingestion ---------------------------------------------------
-
-AlibabaConfig AlibabaCfg(const workload::ServiceCatalog& catalog) {
-  AlibabaConfig cfg;
-  cfg.catalog = &catalog;
-  cfg.num_clusters = 4;
-  return cfg;
-}
-
-TEST(StormAlibaba, SyntheticCsvParsesSortedAndBounded) {
-  const auto catalog = workload::ServiceCatalog::Standard();
-  std::istringstream in(SyntheticAlibabaCsv(400, 1));
-  const auto trace = ReadAlibabaBatchCsv(in, AlibabaCfg(catalog));
-  ASSERT_TRUE(trace.has_value());
-  EXPECT_EQ(trace->size(), 400u);  // Waiting rows skipped, Terminated kept
-  for (std::size_t i = 0; i < trace->size(); ++i) {
-    EXPECT_EQ((*trace)[i].id.value, static_cast<std::int32_t>(i));
-    if (i > 0) {
-      EXPECT_GE((*trace)[i].arrival, (*trace)[i - 1].arrival);
-    }
-    EXPECT_GE((*trace)[i].origin.value, 0);
-    EXPECT_LT((*trace)[i].origin.value, 4);
-    EXPECT_GE((*trace)[i].work_scale, 0.6);
-    EXPECT_LE((*trace)[i].work_scale, 3.0);
-  }
-  EXPECT_EQ((*trace)[0].arrival, 0);  // normalized to earliest row
-}
-
-TEST(StormAlibaba, DurationCutoffSplitsLcFromBe) {
-  const auto catalog = workload::ServiceCatalog::Standard();
-  std::istringstream in(
-      "short_task,1,job_a,A,Terminated,100,130,100,0.5\n"
-      "long_task,1,job_b,A,Terminated,100,5000,200,0.5\n");
-  const auto trace = ReadAlibabaBatchCsv(in, AlibabaCfg(catalog));
-  ASSERT_TRUE(trace.has_value());
-  ASSERT_EQ(trace->size(), 2u);
-  EXPECT_TRUE(catalog.Get((*trace)[0].service).is_lc());
-  EXPECT_FALSE(catalog.Get((*trace)[1].service).is_lc());
-}
-
-TEST(StormAlibaba, SameJobMapsToSameOrigin) {
-  const auto catalog = workload::ServiceCatalog::Standard();
-  std::istringstream in(
-      "t1,1,job_x,A,Terminated,100,130,100,0.5\n"
-      "t2,1,job_x,A,Terminated,200,260,100,0.5\n"
-      "t3,1,job_x,A,Terminated,300,390,100,0.5\n");
-  const auto trace = ReadAlibabaBatchCsv(in, AlibabaCfg(catalog));
-  ASSERT_TRUE(trace.has_value());
-  ASSERT_EQ(trace->size(), 3u);
-  EXPECT_EQ((*trace)[0].origin, (*trace)[1].origin);
-  EXPECT_EQ((*trace)[1].origin, (*trace)[2].origin);
-}
-
-TEST(StormAlibaba, RejectsWrongColumnCountWithLine) {
-  const auto catalog = workload::ServiceCatalog::Standard();
-  std::istringstream in(
-      "t1,1,job_a,A,Terminated,100,130,100,0.5\n"
-      "t2,1,job_a,A,Terminated,100,130\n");
-  workload::TraceParseError err;
-  EXPECT_FALSE(ReadAlibabaBatchCsv(in, AlibabaCfg(catalog), &err));
-  EXPECT_EQ(err.line, 2);
-  EXPECT_NE(err.message.find("malformed"), std::string::npos);
-}
-
-TEST(StormAlibaba, RejectsJunkNumericsWithLine) {
-  const auto catalog = workload::ServiceCatalog::Standard();
-  std::istringstream in(
-      "t1,1,job_a,A,Terminated,100,130,100,0.5\n"
-      "t2,1,job_a,A,Terminated,100,130,12abc,0.5\n");
-  workload::TraceParseError err;
-  EXPECT_FALSE(ReadAlibabaBatchCsv(in, AlibabaCfg(catalog), &err));
-  EXPECT_EQ(err.line, 2);
-  EXPECT_NE(err.message.find("junk numeric"), std::string::npos);
-}
-
-TEST(StormAlibaba, RejectsEndBeforeStartWithLine) {
-  const auto catalog = workload::ServiceCatalog::Standard();
-  std::istringstream in("t1,1,job_a,A,Terminated,500,130,100,0.5\n");
-  workload::TraceParseError err;
-  EXPECT_FALSE(ReadAlibabaBatchCsv(in, AlibabaCfg(catalog), &err));
-  EXPECT_EQ(err.line, 1);
-  EXPECT_NE(err.message.find("out-of-range"), std::string::npos);
-}
-
-TEST(StormAlibaba, RejectsEmptyAndUnterminatedInputs) {
-  const auto catalog = workload::ServiceCatalog::Standard();
-  std::istringstream empty("");
-  workload::TraceParseError err;
-  EXPECT_FALSE(ReadAlibabaBatchCsv(empty, AlibabaCfg(catalog), &err));
-  EXPECT_NE(err.message.find("no Terminated rows"), std::string::npos);
-
-  std::istringstream waiting(
-      "t1,1,job_a,A,Waiting,0,0,100,0.5\n"
-      "t2,1,job_a,A,Running,0,0,100,0.5\n");
-  EXPECT_FALSE(ReadAlibabaBatchCsv(waiting, AlibabaCfg(catalog), &err));
-  EXPECT_EQ(err.line, 2);
-}
-
-TEST(StormAlibaba, RejectsBadIntensityAndMissingFile) {
-  const auto catalog = workload::ServiceCatalog::Standard();
-  AlibabaConfig cfg = AlibabaCfg(catalog);
-  cfg.intensity = 0.0;
-  std::istringstream in("t1,1,job_a,A,Terminated,100,130,100,0.5\n");
-  workload::TraceParseError err;
-  EXPECT_FALSE(ReadAlibabaBatchCsv(in, cfg, &err));
-  EXPECT_EQ(err.line, 0);
-  EXPECT_NE(err.message.find("intensity"), std::string::npos);
-
-  EXPECT_FALSE(ReadAlibabaBatchCsvFile("/tmp/definitely_missing_alibaba.csv",
-                                       AlibabaCfg(catalog), &err));
-  EXPECT_EQ(err.line, 0);
-  EXPECT_NE(err.message.find("cannot open"), std::string::npos);
-}
-
-TEST(StormAlibaba, ToleratesPastedHeaderLine) {
-  const auto catalog = workload::ServiceCatalog::Standard();
-  std::istringstream in(
-      "task_name,instance_num,job_name,task_type,status,start_time,"
-      "end_time,plan_cpu,plan_mem\n"
-      "t1,1,job_a,A,Terminated,100,130,100,0.5\n");
-  const auto trace = ReadAlibabaBatchCsv(in, AlibabaCfg(catalog));
-  ASSERT_TRUE(trace.has_value());
-  EXPECT_EQ(trace->size(), 1u);
-}
-
-TEST(StormAlibaba, IntensityRescalesArrivals) {
-  const auto catalog = workload::ServiceCatalog::Standard();
-  const std::string csv = SyntheticAlibabaCsv(100, 2);
-  std::istringstream a(csv);
-  std::istringstream b(csv);
-  AlibabaConfig fast = AlibabaCfg(catalog);
-  fast.intensity = 10.0;
-  const auto base = ReadAlibabaBatchCsv(a, AlibabaCfg(catalog));
-  const auto scaled = ReadAlibabaBatchCsv(b, fast);
-  ASSERT_TRUE(base.has_value() && scaled.has_value());
-  ASSERT_EQ(base->size(), scaled->size());
-  EXPECT_EQ(scaled->back().arrival,
-            static_cast<SimTime>(
-                static_cast<double>(base->back().arrival) / 10.0));
-
-  // The post-hoc rescaler composes the same way: 1x .. 1000x.
-  const workload::Trace x1000 = RescaleIntensity(*base, 1000.0);
-  EXPECT_EQ(x1000.back().arrival, base->back().arrival / 1000);
-  EXPECT_EQ(x1000.size(), base->size());
-}
-
-TEST(StormAlibaba, DownsampleKeepsRoughFractionAndRenumbers) {
-  const auto catalog = workload::ServiceCatalog::Standard();
-  std::istringstream in(SyntheticAlibabaCsv(1000, 3));
-  const auto base = ReadAlibabaBatchCsv(in, AlibabaCfg(catalog));
-  ASSERT_TRUE(base.has_value());
-  const workload::Trace half = DownsampleTrace(*base, 0.5, 17);
-  EXPECT_GT(half.size(), 350u);
-  EXPECT_LT(half.size(), 650u);
-  for (std::size_t i = 0; i < half.size(); ++i) {
-    EXPECT_EQ(half[i].id.value, static_cast<std::int32_t>(i));
-  }
-  // Deterministic per seed.
-  const workload::Trace again = DownsampleTrace(*base, 0.5, 17);
-  EXPECT_EQ(again.size(), half.size());
 }
 
 }  // namespace

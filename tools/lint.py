@@ -20,8 +20,8 @@ degrades gracefully when optional external tools are missing:
                   structs are grandfathered; annotate deliberate new ones
                   with `// tango-lint: allow(stats-struct)`.
   shard-isolation in src/shard, scheduling calls (ScheduleAt/ScheduleAfter/
-                  StartPeriodic/SchedulePeriodic) may only target the
-                  caller's own simulator (`sim_->...` in ClusterModel,
+                  StartPeriodic) may only target the caller's own
+                  simulator (`sim_->...` in ClusterModel,
                   `sh.sim....` in the engine's epoch driver) — reaching into
                   another shard's simulator bypasses the mailbox protocol
                   and silently breaks byte-identity across shard counts.
@@ -88,14 +88,14 @@ STATS_STRUCT = re.compile(r"^\s*struct\s+(\w*(?:Stats|Counters))\b")
 ALLOW_STATS_STRUCT = "tango-lint: allow(stats-struct)"
 # Structs that predate TangoScope (kept as plain views/aggregates).
 GRANDFATHERED_STATS = {
-    "PeriodStats", "LcRoundStats", "TraceStats",
+    "PeriodStats", "LcRoundStats",
 }
 
 # Scheduling inside src/shard must go through the owner's own simulator;
 # any other receiver is a cross-shard schedule that must ride the mailbox.
 SCHEDULE_CALL = re.compile(
     r"([A-Za-z_][\w.\[\]()*>-]*\s*(?:->|\.)\s*)?"
-    r"(ScheduleAt|ScheduleAfter|StartPeriodic|SchedulePeriodic)\s*\(")
+    r"(ScheduleAt|ScheduleAfter|StartPeriodic)\s*\(")
 SHARD_OK_RECEIVERS = re.compile(r"^(sim_\s*->|sh\.sim\s*\.)\s*$")
 ALLOW_SHARD_ISOLATION = "tango-lint: allow(shard-isolation)"
 

@@ -1,61 +1,25 @@
 #include "common/logging.h"
 
 #include <cstdarg>
+#include <cstdio>
 #include <cstdlib>
-#include <vector>
 
-namespace tango {
+namespace tango::internal {
 
-namespace {
-LogLevel g_level = LogLevel::kWarn;
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarn:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-    case LogLevel::kOff:
-      return "OFF";
-  }
-  return "?";
-}
-}  // namespace
-
-LogLevel GetLogLevel() { return g_level; }
-void SetLogLevel(LogLevel level) { g_level = level; }
-
-void LogMessage(LogLevel level, const char* file, int line,
-                const std::string& msg) {
+void CheckFailed(const char* file, int line, const char* cond,
+                 const char* fmt, ...) {
   const char* base = file;
   for (const char* p = file; *p; ++p) {
     if (*p == '/') base = p + 1;
   }
-  std::fprintf(stderr, "[%s %s:%d] %s\n", LevelName(level), base, line,
-               msg.c_str());
-}
-
-namespace internal {
-std::string FormatLog(const char* fmt, ...) {
+  char msg[1024] = {};
   va_list args;
   va_start(args, fmt);
-  va_list copy;
-  va_copy(copy, args);
-  const int needed = std::vsnprintf(nullptr, 0, fmt, copy);
-  va_end(copy);
-  if (needed <= 0) {
-    va_end(args);
-    return {};
-  }
-  std::vector<char> buf(static_cast<size_t>(needed) + 1);
-  std::vsnprintf(buf.data(), buf.size(), fmt, args);
+  std::vsnprintf(msg, sizeof msg, fmt, args);
   va_end(args);
-  return std::string(buf.data(), static_cast<size_t>(needed));
+  std::fprintf(stderr, "[%s:%d] CHECK failed: %s — %s\n", base, line, cond,
+               msg);
+  std::abort();
 }
-}  // namespace internal
 
-}  // namespace tango
+}  // namespace tango::internal

@@ -1,50 +1,21 @@
-// Minimal leveled logging. Off by default so benchmarks stay quiet; tests and
-// examples can raise the level. Not thread-safe by design: the simulation is
-// single-threaded and deterministic.
+// Fatal checks. TANGO_CHECK is always on: when its condition is false it
+// prints `[file:line] CHECK failed: <cond> — <message>` to stderr and
+// aborts. It flags programmer error, never recoverable input.
 #pragma once
 
-#include <cstdio>
-#include <string>
+namespace tango::internal {
 
-namespace tango {
+/// Print the failed check and its printf-style message, then abort.
+[[noreturn]] void CheckFailed(const char* file, int line, const char* cond,
+                              const char* fmt, ...)
+    __attribute__((format(printf, 4, 5)));
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
+}  // namespace tango::internal
 
-LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
-
-void LogMessage(LogLevel level, const char* file, int line,
-                const std::string& msg);
-
-namespace internal {
-std::string FormatLog(const char* fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-}  // namespace internal
-
-#define TANGO_LOG(level, ...)                                     \
-  do {                                                            \
-    if (static_cast<int>(level) >=                                \
-        static_cast<int>(::tango::GetLogLevel())) {               \
-      ::tango::LogMessage(level, __FILE__, __LINE__,              \
-                          ::tango::internal::FormatLog(__VA_ARGS__)); \
-    }                                                             \
+#define TANGO_CHECK(cond, ...)                                     \
+  do {                                                             \
+    if (!(cond)) {                                                 \
+      ::tango::internal::CheckFailed(__FILE__, __LINE__, #cond,    \
+                                     __VA_ARGS__);                 \
+    }                                                              \
   } while (0)
-
-#define TLOG_DEBUG(...) TANGO_LOG(::tango::LogLevel::kDebug, __VA_ARGS__)
-#define TLOG_INFO(...) TANGO_LOG(::tango::LogLevel::kInfo, __VA_ARGS__)
-#define TLOG_WARN(...) TANGO_LOG(::tango::LogLevel::kWarn, __VA_ARGS__)
-#define TLOG_ERROR(...) TANGO_LOG(::tango::LogLevel::kError, __VA_ARGS__)
-
-/// Fatal check: always on, aborts with a message. Used for invariant
-/// violations that indicate programmer error, never for recoverable input.
-#define TANGO_CHECK(cond, ...)                                            \
-  do {                                                                    \
-    if (!(cond)) {                                                        \
-      ::tango::LogMessage(::tango::LogLevel::kError, __FILE__, __LINE__,  \
-                          std::string("CHECK failed: " #cond " — ") +     \
-                              ::tango::internal::FormatLog(__VA_ARGS__)); \
-      std::abort();                                                       \
-    }                                                                     \
-  } while (0)
-
-}  // namespace tango

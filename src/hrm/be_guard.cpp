@@ -27,8 +27,4 @@ bool AdmitBe(const BeGuardConfig& cfg, Millicores capacity,
   return used_be + demand <= bound;
 }
 
-bool ShouldEvictForLc(Millicores max_worker_be, Millicores demand) {
-  return max_worker_be >= demand;
-}
-
 }  // namespace tango::hrm

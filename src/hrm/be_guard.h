@@ -1,13 +1,13 @@
-// Per-cluster BE admission & eviction guard — the HRM decision loop the
-// sharded engine runs on every master.
+// Per-cluster BE admission guard — the HRM admission rule the sharded
+// engine runs on every master.
 //
 // §4.1's harvesting contract, reduced to the aggregate level a 100k-node
 // simulation can afford: BE may harvest idle capacity, but LC must always
-// find room, so each cluster (i) caps total BE residency at a fraction of
-// capacity that *shrinks* as LC pressure grows, and (ii) evicts-and-
-// restarts BE (never migrates — restart semantics per §4.1) when an LC
-// request cannot fit even though BE is resident. Pure functions over
-// aggregates: shard-safe, unit-testable, no system dependency.
+// find room, so each cluster caps total BE residency at a fraction of
+// capacity that *shrinks* as LC pressure grows. (When an LC request still
+// cannot fit, ClusterModel evicts and restarts BE on the worker
+// sched::PickEvictionWorker picks.) Pure functions over aggregates:
+// shard-safe, unit-testable, no system dependency.
 #pragma once
 
 #include "common/units.h"
@@ -35,10 +35,5 @@ Millicores BeAdmissionBound(const BeGuardConfig& cfg, Millicores capacity,
 /// admitting `demand` must keep total BE at or under the bound.
 bool AdmitBe(const BeGuardConfig& cfg, Millicores capacity,
              Millicores used_lc, Millicores used_be, Millicores demand);
-
-/// True when an LC request that cannot fit should trigger a BE
-/// evict-and-restart: some worker must hold at least `demand` of BE for an
-/// eviction to be able to free enough room.
-bool ShouldEvictForLc(Millicores max_worker_be, Millicores demand);
 
 }  // namespace tango::hrm

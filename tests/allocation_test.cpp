@@ -27,7 +27,7 @@
 #include "storm/source.h"
 
 // TU-global counting operator new: this binary's strongest-scope version of
-// the alloc_events counter pattern (flow::MinCostMaxFlow, sim::Simulator).
+// sim::Simulator's alloc_events counter.
 // Every heap allocation in the process bumps the counter, so a snapshot
 // taken around a hot loop proves the loop allocation-free. The per-thread
 // count tells the calling thread's allocations from everyone else's: the

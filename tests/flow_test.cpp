@@ -2,7 +2,8 @@
 // shortest-paths oracle DSS-LC's greedy star dispatch is checked against).
 #include <gtest/gtest.h>
 
-#include <array>
+#include <cstdint>
+#include <functional>
 #include <map>
 #include <vector>
 
@@ -226,110 +227,118 @@ TEST(McmfProperty, FlowConservationOnRandomGraphs) {
   }
 }
 
-// ---- Solver reuse (Reset / ReserveArcs / alloc_events) --------------------
+// ---- Property test: on general graphs the solution is certified from the
+// outside. Arc costs w + pi(u) - pi(v) with w >= 0 are often negative, but
+// every cycle costs its sum of w >= 0, so the instance has an optimum. Later
+// augmentations on these graphs push flow back along reverse arcs, which no
+// star instance does.
 
-// Build a small two-path instance parameterized by cost so "graph A" and
-// "graph B" are genuinely different problems.
-struct TwoPath {
-  int cheap, dear;
-  MinCostMaxFlow::Result result;
+struct ResidualArc {
+  int from, to;
+  CostUnit cost;
 };
-TwoPath BuildAndSolve(MinCostMaxFlow& g, CostUnit cheap_cost,
-                      CostUnit dear_cost, FlowUnit amount) {
-  TwoPath t;
-  t.cheap = g.AddArc(0, 1, 3, cheap_cost);
-  g.AddArc(1, 3, 3, 0);
-  t.dear = g.AddArc(0, 2, 3, dear_cost);
-  g.AddArc(2, 3, 3, 0);
-  t.result = g.Solve(0, 3, amount);
-  return t;
-}
 
-TEST(McmfReuse, ResetSolvesSecondGraphIdenticallyToFreshSolver) {
-  MinCostMaxFlow reused(4);
-  BuildAndSolve(reused, 1, 10, 4);  // graph A, discarded
-  reused.Reset(4);
-  const auto via_reuse = BuildAndSolve(reused, 2, 7, 5);  // graph B
-
-  MinCostMaxFlow fresh(4);
-  const auto via_fresh = BuildAndSolve(fresh, 2, 7, 5);
-
-  EXPECT_EQ(via_reuse.result.max_flow, via_fresh.result.max_flow);
-  EXPECT_EQ(via_reuse.result.total_cost, via_fresh.result.total_cost);
-  EXPECT_EQ(via_reuse.result.saturated, via_fresh.result.saturated);
-  EXPECT_EQ(reused.Flow(via_reuse.cheap), fresh.Flow(via_fresh.cheap));
-  EXPECT_EQ(reused.Flow(via_reuse.dear), fresh.Flow(via_fresh.dear));
-}
-
-TEST(McmfReuse, ResetCanShrinkAndGrowTheNodeCount) {
-  MinCostMaxFlow g(8);
-  g.AddArc(0, 7, 2, 1);
-  g.Solve(0, 7);
-  g.Reset(2);  // shrink
-  const int a = g.AddArc(0, 1, 5, 3);
-  EXPECT_EQ(g.Solve(0, 1).max_flow, 5);
-  EXPECT_EQ(g.Flow(a), 5);
-  g.Reset(16);  // grow past the original size
-  g.AddArc(0, 15, 4, 2);
-  EXPECT_EQ(g.Solve(0, 15).max_flow, 4);
-}
-
-TEST(McmfReuse, SteadyStateRebuildsAllocateNothing) {
-  MinCostMaxFlow g(4);
-  // Two warm-up cycles grow every buffer to its working-set size...
-  for (int i = 0; i < 2; ++i) {
-    g.Reset(4);
-    g.ReserveArcs(4);
-    BuildAndSolve(g, 1 + i, 10, 4);
-  }
-  const auto warm = g.alloc_events();
-  // ...after which identical-shaped rebuild/solve cycles are allocation-free.
-  for (int i = 0; i < 20; ++i) {
-    g.Reset(4);
-    g.ReserveArcs(4);
-    BuildAndSolve(g, 1 + i % 5, 10 + i % 3, 4);
-  }
-  EXPECT_EQ(g.alloc_events(), warm);
-}
-
-TEST(McmfReuse, DefaultConstructedSolverWorksAfterReset) {
-  MinCostMaxFlow g;
-  EXPECT_EQ(g.num_nodes(), 0);
-  g.Reset(3);
-  g.AddArc(0, 1, 2, 1);
-  g.AddArc(1, 2, 2, 1);
-  const auto r = g.Solve(0, 2);
-  EXPECT_EQ(r.max_flow, 2);
-  EXPECT_EQ(r.total_cost, 4);
-}
-
-TEST(McmfReuse, RandomGraphsMatchFreshSolverAfterReuse) {
-  // Property check: a solver cycled through random graphs returns the same
-  // optimum a fresh solver does on every instance.
-  Rng rng(1234);
-  MinCostMaxFlow reused(1);
-  for (int trial = 0; trial < 30; ++trial) {
-    const int n = 4 + static_cast<int>(rng.UniformInt(0, 6));
-    std::vector<std::array<std::int64_t, 4>> arcs;
-    for (int e = 0; e < 3 * n; ++e) {
-      const auto u = rng.UniformInt(0, n - 1);
-      const auto v = rng.UniformInt(0, n - 1);
-      if (u == v) continue;
-      arcs.push_back({u, v, rng.UniformInt(0, 5), rng.UniformInt(0, 9)});
-    }
-    reused.Reset(n);
-    MinCostMaxFlow fresh(n);
+/// Bellman-Ford from a virtual source joined to every node at cost 0: true
+/// iff some cycle of `arcs` has negative total cost.
+bool HasNegativeCycle(int n, const std::vector<ResidualArc>& arcs) {
+  std::vector<CostUnit> dist(static_cast<std::size_t>(n), 0);
+  for (int pass = 0; pass < n; ++pass) {
+    bool relaxed = false;
     for (const auto& a : arcs) {
-      reused.AddArc(static_cast<int>(a[0]), static_cast<int>(a[1]), a[2],
-                    a[3]);
-      fresh.AddArc(static_cast<int>(a[0]), static_cast<int>(a[1]), a[2],
-                   a[3]);
+      const CostUnit nd = dist[static_cast<std::size_t>(a.from)] + a.cost;
+      if (nd < dist[static_cast<std::size_t>(a.to)]) {
+        dist[static_cast<std::size_t>(a.to)] = nd;
+        relaxed = true;
+      }
     }
-    const auto r1 = reused.Solve(0, n - 1);
-    const auto r2 = fresh.Solve(0, n - 1);
-    EXPECT_EQ(r1.max_flow, r2.max_flow) << "trial " << trial;
-    EXPECT_EQ(r1.total_cost, r2.total_cost) << "trial " << trial;
+    if (!relaxed) return false;
   }
+  return true;
+}
+
+bool Reachable(int n, const std::vector<ResidualArc>& arcs, int from, int to) {
+  std::vector<char> seen(static_cast<std::size_t>(n), 0);
+  std::vector<int> stack = {from};
+  seen[static_cast<std::size_t>(from)] = 1;
+  while (!stack.empty()) {
+    const int u = stack.back();
+    stack.pop_back();
+    for (const auto& a : arcs) {
+      if (a.from != u || seen[static_cast<std::size_t>(a.to)] != 0) continue;
+      seen[static_cast<std::size_t>(a.to)] = 1;
+      stack.push_back(a.to);
+    }
+  }
+  return seen[static_cast<std::size_t>(to)] != 0;
+}
+
+std::uint64_t Fnv(std::uint64_t h, std::int64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (static_cast<std::uint64_t>(v) >> (8 * i)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(McmfProperty, ResidualGraphCertifiesGeneralGraphs) {
+  Rng rng(8191);
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = static_cast<int>(rng.UniformInt(4, 12));
+    std::vector<CostUnit> pi(static_cast<std::size_t>(n));
+    for (auto& p : pi) p = rng.UniformInt(-15, 15);
+    struct Arc {
+      int id, from, to;
+      FlowUnit cap;
+      CostUnit cost;
+    };
+    std::vector<Arc> arcs;
+    MinCostMaxFlow g(n);
+    for (int e = 0; e < 3 * n; ++e) {
+      const int u = static_cast<int>(rng.UniformInt(0, n - 1));
+      const int v = static_cast<int>(rng.UniformInt(0, n - 1));
+      if (u == v) continue;
+      const FlowUnit cap = rng.UniformInt(0, 6);
+      const CostUnit cost = rng.UniformInt(0, 9) +
+                            pi[static_cast<std::size_t>(u)] -
+                            pi[static_cast<std::size_t>(v)];
+      arcs.push_back({g.AddArc(u, v, cap, cost), u, v, cap, cost});
+    }
+    const FlowUnit amount =
+        trial % 2 == 0 ? MinCostMaxFlow::kMaxFlow : rng.UniformInt(1, 8);
+    const auto r = g.Solve(0, n - 1, amount);
+
+    // Rebuild the residual graph from the arc list and the reported flows.
+    std::vector<ResidualArc> residual;
+    std::vector<FlowUnit> net(static_cast<std::size_t>(n), 0);
+    CostUnit cost = 0;
+    for (const auto& a : arcs) {
+      const FlowUnit flow = g.Flow(a.id);
+      ASSERT_TRUE(flow >= 0 && flow <= a.cap &&
+                  flow + g.Residual(a.id) == a.cap)
+          << "trial " << trial;
+      if (flow < a.cap) residual.push_back({a.from, a.to, a.cost});
+      if (flow > 0) residual.push_back({a.to, a.from, -a.cost});
+      net[static_cast<std::size_t>(a.from)] += flow;
+      net[static_cast<std::size_t>(a.to)] -= flow;
+      cost += flow * a.cost;
+    }
+    // A flow of the reported value and cost...
+    EXPECT_EQ(net.front(), r.max_flow) << "trial " << trial;
+    EXPECT_EQ(net.back(), -r.max_flow) << "trial " << trial;
+    for (int v = 1; v + 1 < n; ++v) {
+      EXPECT_EQ(net[static_cast<std::size_t>(v)], 0) << "trial " << trial;
+    }
+    EXPECT_EQ(r.total_cost, cost) << "trial " << trial;
+    // ...at min cost for its value: no negative residual cycle; and max
+    // flow when the amount was not met: no augmenting path left.
+    EXPECT_FALSE(HasNegativeCycle(n, residual)) << "trial " << trial;
+    if (!r.saturated) {
+      EXPECT_FALSE(Reachable(n, residual, 0, n - 1)) << "trial " << trial;
+    }
+    digest = Fnv(Fnv(digest, r.max_flow), r.total_cost);
+  }
+  EXPECT_EQ(digest, 0x2e1bea2d0d450168ULL) << "digest 0x" << std::hex << digest;
 }
 
 }  // namespace

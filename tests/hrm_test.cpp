@@ -1,8 +1,10 @@
-// Tests for the D-VPA scaler (ordered cgroup writes, §4.2) and the QoS
-// re-assurance mechanism (Algorithm 1, §4.3).
+// Tests for the D-VPA scaler (ordered cgroup writes, §4.2), the QoS
+// re-assurance mechanism (Algorithm 1, §4.3) and the sharded engine's BE
+// admission guard (§4.1).
 #include <gtest/gtest.h>
 
 #include "eval/harness.h"
+#include "hrm/be_guard.h"
 #include "hrm/dvpa.h"
 #include "hrm/reassurance.h"
 #include "sched/be_baselines.h"
@@ -243,6 +245,32 @@ TEST_F(ReassuranceFixture, EndToEndImprovesQosUnderContention) {
   const auto on = run(true);
   const auto off = run(false);
   EXPECT_GE(on.qos_satisfaction, off.qos_satisfaction - 0.02);
+}
+
+// ---- BE admission guard: AdmitBe is the 100k engine's only BE admission
+// rule. The default bound slides from 90 % of capacity at LC pressure 0 to
+// 20 % at pressure 1.
+
+TEST(BeGuard, BoundShrinksLinearlyWithLcPressure) {
+  const BeGuardConfig cfg;
+  EXPECT_DOUBLE_EQ(LcPressure(500, 1000), 0.5);
+  EXPECT_EQ(BeAdmissionBound(cfg, 1000, 0.0), 900);
+  EXPECT_EQ(BeAdmissionBound(cfg, 1000, 0.5), 550);
+  EXPECT_EQ(BeAdmissionBound(cfg, 1000, 1.0), 200);
+}
+
+TEST(BeGuard, ZeroCapacityReadsAsFullPressureAndAdmitsNothing) {
+  const BeGuardConfig cfg;
+  EXPECT_EQ(LcPressure(0, 0), 1.0);
+  EXPECT_EQ(BeAdmissionBound(cfg, 0, LcPressure(0, 0)), 0);
+  EXPECT_FALSE(AdmitBe(cfg, 0, 0, 0, 1));
+}
+
+TEST(BeGuard, AdmitsUpToTheBoundAndNoFurther) {
+  const BeGuardConfig cfg;
+  // LC holds half of 1,000 millicores, so the BE bound is 550.
+  EXPECT_TRUE(AdmitBe(cfg, 1000, 500, 300, 250));
+  EXPECT_FALSE(AdmitBe(cfg, 1000, 500, 300, 251));
 }
 
 }  // namespace

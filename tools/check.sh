@@ -2,8 +2,8 @@
 # Build and test the project under several configs: a plain RelWithDebInfo
 # configure, an ASan+UBSan configure (-DTANGO_SANITIZE=ON), a TSan
 # configure (-DTANGO_TSAN=ON) that runs only the concurrency-touching tests
-# (thread pool, MCMF reuse, harness fan-out, TangoScope emission, sharded
-# engine, and the A2C learner's split backward on the shared learner pool:
+# (thread pool, harness fan-out, TangoScope emission, sharded engine, and
+# the A2C learner's split backward on the shared learner pool:
 # LearnerPins, A2cAgent, BackwardSteps), a TangoAudit configure
 # (-DTANGO_AUDIT=ON) that runs the full suite plus the perf_sched and
 # perf_sim smokes with every runtime invariant checker live, a TangoScope
@@ -99,7 +99,7 @@ if [[ "$what" == "all" || "$what" == "tsan" ]]; then
   # fan-out, parameter replay and Adam tiles on the learner pool, two
   # learners at once included.
   run_config tsan "$repo_root/build-tsan" \
-    -R 'ThreadPool|DssLc|McmfReuse|Harness|Experiment|Scope|Shard|Mailbox|LearnerPins|A2cAgent|BackwardSteps' \
+    -R 'ThreadPool|DssLc|Harness|Experiment|Scope|Shard|Mailbox|LearnerPins|A2cAgent|BackwardSteps' \
     -DTANGO_TSAN=ON -DTANGO_SCOPE=ON
   # The sharded engine's epoch fan-out under TSan: the mailbox exchange and
   # the per-shard slabs are the only cross-thread surfaces, and the smoke

@@ -5,9 +5,9 @@ Stdlib-only (the container has no third-party Python packages) and
 degrades gracefully when optional external tools are missing:
 
   hot-path        no node-based std:: containers (map/set/list/unordered_*)
-                  in the allocation-free hot paths (src/sim, src/flow, the
-                  DSS-LC round in src/sched/dss_lc.* and the state storage
-                  in src/metrics/state_storage.*).
+                  in the allocation-free hot paths (src/sim, the DSS-LC
+                  round in src/sched/dss_lc.* and the state storage in
+                  src/metrics/state_storage.*).
   raw-new         no raw `new`/`delete` outside the event pool's SBO
                   callback; annotate deliberate uses with
                   `// tango-lint: allow(raw-new)`.
@@ -65,7 +65,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Path prefixes whose code runs on the simulator's per-event hot path or in
 # every DSS-LC round and state sync: the steady state must not allocate, so
 # node-based containers are banned.
-HOT_PATH_DIRS = ("src/sim", "src/flow", "src/sched/dss_lc.",
+HOT_PATH_DIRS = ("src/sim", "src/sched/dss_lc.",
                  "src/metrics/state_storage.")
 
 HOT_PATH_BAN = re.compile(

@@ -12,14 +12,17 @@
 // learner's Act() and its update on paper_dual's shape (104 cluster
 // pseudo-nodes in a ring, so GraphSAGE never samples) and on a node-level
 // LAN mesh that samples, next to how many rollout steps the update trained
-// on their act-time forward (hits) or had to re-run (misses). Emits
-// BENCH_sched.json (cwd) so later PRs can diff scheduling throughput
+// on their act-time forward (hits) or had to re-run (misses). On the ring,
+// Act()'s forward and the update's backward + Adam are each timed on one
+// slot and on the learner pool over identical inputs. Emits
+// BENCH_sched.json (cwd) so later changes can diff scheduling throughput
 // against this baseline.
 //
 // Exit status 1 when any gate fails: a steady-state round allocating other
 // than once, a DCG-BE update step unaccounted for (or any miss on the
-// ring), or — full runs only — phases covering < 90% of sched.round_us on
-// the large or huge view.
+// ring), the pool's decision forward or update leaving other bits than one
+// slot's, or — full runs only — phases covering < 90% of sched.round_us on
+// the large or huge view, or (on >= 4 cores) the pool not beating one slot.
 //
 // Flags: --smoke            small configs + invariant checks only, exit 1 on
 //                           failure, no BENCH write (CI gate)
@@ -52,10 +55,17 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Out of line: inlined into a delete expression, the free() would look to
+// GCC's -Wmismatched-new-delete (at -O3) like a free of a `new` pointer,
+// although this file's operator new is malloc underneath.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 using namespace tango;
 
@@ -350,15 +360,19 @@ struct BackwardRow {
   BackwardPhases pool;
 };
 
+/// FNV-1a of `h` extended by the bits of every element of `m`.
+std::uint64_t BitsDigest(std::uint64_t h, const nn::Matrix& m) {
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    std::uint32_t bits;
+    std::memcpy(&bits, m.data() + i, sizeof bits);
+    h = Fnv(h, bits);
+  }
+  return h;
+}
+
 std::uint64_t GradDigest(const nn::ParamStore& store) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const auto& p : store.params()) {
-    for (std::size_t i = 0; i < p->grad.size(); ++i) {
-      std::uint32_t bits;
-      std::memcpy(&bits, p->grad.data() + i, sizeof bits);
-      h = Fnv(h, bits);
-    }
-  }
+  for (const auto& p : store.params()) h = BitsDigest(h, p->grad);
   return h;
 }
 
@@ -479,10 +493,92 @@ BackwardRow TimeBackward(int reps) {
   return row;
 }
 
+/// Act()'s forward on the ring — the GraphSAGE encode, the actor head and
+/// the critic on the mean-pooled embedding, as A2cAgent builds them — over
+/// the same states on one slot (a shut-down pool) and on the learner pool:
+/// the median µs per forward over alternating repetitions, and the FNV-1a
+/// digest of every logit and value each side produced.
+struct ForwardSide {
+  double us_p50 = 0.0;
+  std::uint64_t digest = 0;
+};
+
+struct ForwardRow {
+  int states = 0;
+  int reps = 0;
+  int slots = 0;  // the learner pool's
+  ForwardSide one_slot;
+  ForwardSide pool;
+};
+
+ForwardRow TimeDecisionForward(int num_states, int reps) {
+  const auto catalog = workload::ServiceCatalog::Standard();
+  sched::LearnedBeConfig cfg;
+  cfg.granularity = sched::BeGranularity::kCluster;
+  auto be = sched::MakeDcgBe(&catalog, gnn::EncoderKind::kGraphSage, 7, cfg);
+  StateStorage st = MakeStorage(104, 10, 91);
+  std::vector<NodeSnapshot> nodes = st.All();
+  PendingRequest req;
+  req.request.service = ServiceId{9};
+  Rng rng(7);
+  const rl::A2cConfig a2c;
+  nn::ParamStore store;
+  const auto encoder = gnn::MakeEncoder(a2c.encoder, store, "enc",
+                                        a2c.feature_dim, a2c.embed_dim, rng);
+  const auto actor = nn::Mlp::PaperHead(store, "actor", a2c.embed_dim, 1, rng);
+  const auto critic =
+      nn::Mlp::PaperHead(store, "critic", a2c.embed_dim, 1, rng);
+  std::vector<rl::GraphState> states;
+  std::vector<gnn::NeighbourSample> samples;
+  for (int s = 0; s < num_states; ++s) {
+    states.push_back(be->BuildState(req, st));
+    samples.push_back(encoder->Sample(states.back().graph, rng));
+    for (int k = 0; k < 4; ++k) {
+      auto& w = nodes[static_cast<std::size_t>(rng.UniformInt(
+          0, static_cast<std::int64_t>(nodes.size()) - 1))];
+      w.cpu_available = rng.UniformInt(500, 8000);
+      w.queued = static_cast<int>(rng.UniformInt(0, 16));
+      st.Update(w);
+    }
+  }
+  ThreadPool one_slot(1);
+  one_slot.Shutdown();
+  ThreadPool& pool = rl::LearnerPool();
+  ForwardRow row;
+  row.states = num_states;
+  row.reps = reps;
+  row.slots = pool.concurrency();
+  struct Side {
+    ThreadPool* pool;
+    ForwardSide* out;
+    std::vector<double> us;
+  };
+  Side sides[2] = {{&one_slot, &row.one_slot, {}}, {&pool, &row.pool, {}}};
+  for (int r = 0; r < reps; ++r) {
+    for (int i = 0; i < 2; ++i) {
+      Side& side = sides[(r + i) % 2];  // alternate which side runs first
+      std::uint64_t digest = 0xcbf29ce484222325ULL;
+      for (std::size_t s = 0; s < states.size(); ++s) {
+        const double t0 = Now();
+        const nn::Var h = encoder->Forward(states[s].graph, samples[s]);
+        const nn::Var logits = nn::Transpose(actor.Forward(h, side.pool));
+        const int n = h->value.rows();
+        const nn::Var value = critic.Forward(nn::MatMul(
+            nn::Constant(nn::Matrix(1, n, 1.0f / static_cast<float>(n))), h));
+        side.us.push_back((Now() - t0) * 1e6);
+        digest = BitsDigest(BitsDigest(digest, logits->value), value->value);
+      }
+      if (r == 0) side.out->digest = digest;
+    }
+  }
+  for (Side& side : sides) side.out->us_p50 = Percentile(side.us, 0.50);
+  return row;
+}
+
 void WriteJson(const char* path, int cores, const std::vector<SchedRun>& sched,
                const std::vector<PhaseProfile>& phases, double e2e_s,
                const RepsComparison& reps, const std::vector<DcgBeRow>& dcgbe,
-               const BackwardRow& backward) {
+               const ForwardRow& forward, const BackwardRow& backward) {
   std::ofstream out(path);
   out << "{\n  \"bench\": \"perf_sched\",\n  "
       << bench::ProvenanceJson(cores) << ",\n  \"sched\": {\n";
@@ -532,6 +628,18 @@ void WriteJson(const char* path, int cores, const std::vector<SchedRun>& sched,
         << ", \"total_ms\": " << p.total_ms() << ", \"grad_digest\": \""
         << Hex(p.digest) << "\"}";
   };
+  const auto side_json = [&out](const char* name, const ForwardSide& f) {
+    out << "    \"" << name << "\": {\"forward_us_p50\": " << f.us_p50
+        << ", \"digest\": \"" << Hex(f.digest) << "\"}";
+  };
+  out << "  },\n  \"dcgbe_forward\": {\n    \"shape\": \"ring104\", "
+      << "\"states\": " << forward.states << ", \"pool_slots\": "
+      << forward.slots << ", \"reps\": " << forward.reps << ",\n";
+  side_json("one_slot", forward.one_slot);
+  out << ",\n";
+  side_json("pool", forward.pool);
+  out << ",\n    \"speedup\": "
+      << forward.one_slot.us_p50 / forward.pool.us_p50 << "\n";
   out << "  },\n  \"dcgbe_update\": {\n    \"shape\": \"ring104\", \"steps\": "
       << backward.steps << ", \"tiles\": " << backward.tiles
       << ", \"pool_slots\": " << backward.slots << ", \"reps\": "
@@ -661,6 +769,25 @@ int main(int argc, char** argv) {
                     "reuse hit/miss"},
                    dcgbe_rows);
 
+  // Act()'s forward over identical ring104 states, on one slot (a
+  // shut-down pool) and on the learner pool.
+  const ForwardRow forward =
+      smoke ? TimeDecisionForward(8, 3) : TimeDecisionForward(32, 15);
+  std::vector<std::vector<std::string>> forward_rows;
+  for (const auto& [name, f] :
+       {std::pair<std::string, const ForwardSide*>{"1 slot",
+                                                   &forward.one_slot},
+        {"pool (" + std::to_string(forward.slots) + " slots)",
+         &forward.pool}}) {
+    forward_rows.push_back({name, eval::Fmt(f->us_p50, 0), Hex(f->digest)});
+  }
+  eval::PrintTable(("DCG-BE decision forward (ring104, " +
+                    std::to_string(forward.states) + " states, median of " +
+                    std::to_string(forward.reps) + " reps)")
+                       .c_str(),
+                   {"slots", "forward p50 us", "logits+value digest"},
+                   forward_rows);
+
   // The update's split backward and Adam step over identical ring104
   // tapes, on one slot (a shut-down pool) and on the learner pool.
   const BackwardRow backward = TimeBackward(smoke ? 3 : 15);
@@ -737,6 +864,15 @@ int main(int argc, char** argv) {
                     std::to_string(dcgbe[0].reuse_misses) + " misses",
                     ring_reused);
   ok = ok && ring_reused;
+  // The banded forward is exact: one slot and the pool produce the same
+  // logits and values.
+  const bool forward_exact = forward.one_slot.digest == forward.pool.digest;
+  bench::PaperCheck("DCG-BE decision forward is bit-identical",
+                    "1 slot = pool",
+                    Hex(forward.one_slot.digest) + " / " +
+                        Hex(forward.pool.digest),
+                    forward_exact);
+  ok = ok && forward_exact;
   // The split backward is exact: one slot, the pool and one serial
   // Backward leave the same bits in every parameter gradient.
   const bool exact = backward.one_slot.digest == backward.oracle_digest &&
@@ -748,6 +884,13 @@ int main(int argc, char** argv) {
                     exact);
   ok = ok && exact;
   if (!smoke && cores >= 4) {
+    const double forward_speedup =
+        forward.one_slot.us_p50 / forward.pool.us_p50;
+    const bool forward_faster = forward_speedup > 1.0;
+    bench::PaperCheck("DCG-BE decision forward faster on the learner pool",
+                      "pool < 1 slot on >= 4 cores",
+                      eval::Fmt(forward_speedup, 2) + "x", forward_faster);
+    ok = ok && forward_faster;
     const double speedup =
         backward.one_slot.total_ms() / backward.pool.total_ms();
     const bool faster = speedup > 1.0;
@@ -759,7 +902,7 @@ int main(int argc, char** argv) {
 
   if (!smoke && !custom && bench::ShouldWriteBench("BENCH_sched.json", cores)) {
     WriteJson("BENCH_sched.json", cores, sched, phases, e2e_s, reps, dcgbe,
-              backward);
+              forward, backward);
     std::printf("\nwrote BENCH_sched.json\n");
   }
   if (!ok) {

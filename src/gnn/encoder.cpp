@@ -12,29 +12,6 @@ using nn::Var;
 
 namespace {
 
-/// Row-normalized mean over one layer's sampled neighbourhoods (self
-/// excluded; rows of isolated nodes are zero). The layer concatenates this
-/// neighbor mean with the node's own vector, per GraphSAGE's Algorithm 1
-/// (Hamilton et al.) — including self in the mean instead would make
-/// embeddings collapse on dense subgraphs (e.g. a cluster's full LAN mesh),
-/// leaving the policy unable to tell same-cluster workers apart.
-Matrix SampledMeanMatrix(const NeighbourSample& sample, std::size_t layer,
-                         int n) {
-  Matrix agg(n, n);
-  const int* off = sample.offsets.data() +
-                   layer * (static_cast<std::size_t>(n) + 1);
-  for (int i = 0; i < n; ++i) {
-    const int begin = off[i];
-    const int end = off[i + 1];
-    if (begin == end) continue;
-    const float w = 1.0f / static_cast<float>(end - begin);
-    for (int t = begin; t < end; ++t) {
-      agg.at(i, sample.nbrs[static_cast<std::size_t>(t)]) = w;
-    }
-  }
-  return agg;
-}
-
 /// Symmetric GCN normalization D^{-1/2}(A+I)D^{-1/2}.
 Matrix GcnNormMatrix(const GraphBatch& g) {
   const int n = g.num_nodes();
@@ -127,10 +104,14 @@ Var GraphSage::Forward(const GraphBatch& g,
   TANGO_CHECK(sample.offsets.size() ==
                   layers_.size() * (static_cast<std::size_t>(n) + 1),
               "neighbour sample does not fit a %d-node graph", n);
+  // Each layer concatenates the sampled neighbours' mean (self excluded;
+  // isolated nodes get zeros) with the node's own vector, per GraphSAGE's
+  // Algorithm 1 (Hamilton et al.). Including self in the mean instead would
+  // make embeddings collapse on dense subgraphs (e.g. a cluster's full LAN
+  // mesh), leaving the policy unable to tell same-cluster workers apart.
   Var h = nn::Constant(g.features);
   for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const Var agg = nn::Constant(SampledMeanMatrix(sample, l, n));
-    const Var neigh = nn::MatMul(agg, h);
+    const Var neigh = nn::NeighbourMean(h, sample, l);
     h = nn::Relu(layers_[l].Forward(nn::ConcatCols(h, neigh)));
   }
   return h;

@@ -22,16 +22,8 @@ struct GraphBatch {
   int num_nodes() const { return features.rows(); }
 };
 
-/// The neighbours one encode aggregates over, drawn apart from the forward
-/// so a caller can tell whether two encodes of a graph saw the same sample.
-/// Per layer and node, the chosen neighbours in ascending order: node i of
-/// layer l owns nbrs[offsets[l·(n+1) + i], offsets[l·(n+1) + i + 1]).
-/// Empty for encoders that do not sample.
-struct NeighbourSample {
-  std::vector<int> offsets;
-  std::vector<int> nbrs;
-  bool operator==(const NeighbourSample&) const = default;
-};
+/// The neighbours one encode aggregates over (nn::NeighbourMean's input).
+using nn::NeighbourSample;
 
 class Encoder {
  public:

@@ -185,12 +185,31 @@ void AddGrad(const Node& n, Matrix& grad, const GemmBlock& b) {
 
 GemmBlock Whole(const Matrix& m) { return {0, m.rows(), 0, m.cols()}; }
 
+/// Whether Add(a, b) broadcasts b as a row over a; TANGO_CHECKs that the
+/// shapes fit one way or the other.
+bool BroadcastsRow(const Matrix& a, const Matrix& b) {
+  const bool broadcast =
+      b.rows() == 1 && a.rows() != 1 && b.cols() == a.cols();
+  TANGO_CHECK(broadcast || a.SameShape(b), "add shape mismatch %dx%d + %dx%d",
+              a.rows(), a.cols(), b.rows(), b.cols());
+  return broadcast;
+}
+
 }  // namespace
 
 Var MatMul(const Var& a, const Var& b) {
-  Matrix out = a->value.MatMul(b->value);
+  return MatMulNode(a, b, a->value.MatMul(b->value));
+}
+
+Var MatMulNode(const Var& a, const Var& b, Matrix value) {
+  TANGO_CHECK(a->value.cols() == b->value.rows() &&
+                  value.rows() == a->value.rows() &&
+                  value.cols() == b->value.cols(),
+              "matmul node %dx%d for %dx%d * %dx%d", value.rows(),
+              value.cols(), a->value.rows(), a->value.cols(), b->value.rows(),
+              b->value.cols());
   return MakeNode(
-      std::move(out), {a, b},
+      std::move(value), {a, b},
       [](Node& n, std::size_t p, Matrix& scratch) {
         Matrix& g = n.parents[p]->EnsureGrad();
         if (p == 1) {
@@ -206,22 +225,23 @@ Var MatMul(const Var& a, const Var& b) {
 }
 
 Var Add(const Var& a, const Var& b) {
-  const bool broadcast =
-      b->value.rows() == 1 && a->value.rows() != 1 &&
-      b->value.cols() == a->value.cols();
-  TANGO_CHECK(broadcast || a->value.SameShape(b->value),
-              "add shape mismatch %dx%d + %dx%d", a->value.rows(),
-              a->value.cols(), b->value.rows(), b->value.cols());
   Matrix out = a->value;
-  if (broadcast) {
+  if (BroadcastsRow(a->value, b->value)) {
     for (int r = 0; r < out.rows(); ++r) {
       for (int c = 0; c < out.cols(); ++c) out.at(r, c) += b->value.at(0, c);
     }
   } else {
     out.Add(b->value);
   }
+  return AddNode(a, b, std::move(out));
+}
+
+Var AddNode(const Var& a, const Var& b, Matrix value) {
+  BroadcastsRow(a->value, b->value);
+  TANGO_CHECK(value.SameShape(a->value), "add node %dx%d for a %dx%d sum",
+              value.rows(), value.cols(), a->value.rows(), a->value.cols());
   return MakeNode(
-      std::move(out), {a, b},
+      std::move(value), {a, b},
       [](Node& n, std::size_t p, Matrix&) {
         Matrix& g = n.parents[p]->EnsureGrad();
         AddGrad(n, g, Whole(g));
@@ -274,7 +294,13 @@ Var Relu(const Var& a) {
   Matrix out = a->value;
   float* d = out.data();
   for (std::size_t i = 0; i < out.size(); ++i) d[i] = std::max(0.0f, d[i]);
-  return MakeNode(std::move(out), {a}, [](Node& n, std::size_t, Matrix&) {
+  return ReluNode(a, std::move(out));
+}
+
+Var ReluNode(const Var& a, Matrix value) {
+  TANGO_CHECK(value.SameShape(a->value), "relu node %dx%d for a %dx%d input",
+              value.rows(), value.cols(), a->value.rows(), a->value.cols());
+  return MakeNode(std::move(value), {a}, [](Node& n, std::size_t, Matrix&) {
     const float* x = n.parents[0]->value.data();
     const float* g = n.grad.data();
     float* ag = n.parents[0]->EnsureGrad().data();
@@ -284,34 +310,72 @@ Var Relu(const Var& a) {
   });
 }
 
-Var Tanh(const Var& a) {
-  Matrix out = a->value;
-  for (int r = 0; r < out.rows(); ++r) {
-    for (int c = 0; c < out.cols(); ++c) out.at(r, c) = std::tanh(out.at(r, c));
+Var NeighbourMean(const Var& h, const NeighbourSample& sample,
+                  std::size_t layer) {
+  const int n = h->value.rows();
+  const int d = h->value.cols();
+  const auto stride = static_cast<std::size_t>(n) + 1;
+  TANGO_CHECK(sample.offsets.size() >= (layer + 1) * stride,
+              "neighbour sample has no layer %zu for a %d-node graph", layer,
+              n);
+  // This layer's lists, rebased to start at 0: the backward outlives the
+  // caller's sample.
+  auto lists = std::make_shared<NeighbourSample>();
+  const int* raw = sample.offsets.data() + layer * stride;
+  TANGO_CHECK(0 <= raw[0] && raw[n] <= static_cast<int>(sample.nbrs.size()),
+              "layer %zu's offsets [%d, %d) run outside %zu neighbours", layer,
+              raw[0], raw[n], sample.nbrs.size());
+  lists->offsets.reserve(stride);
+  for (int i = 0; i <= n; ++i) {
+    TANGO_CHECK(i == 0 || raw[i - 1] <= raw[i],
+                "layer %zu's offsets decrease at node %d", layer, i);
+    lists->offsets.push_back(raw[i] - raw[0]);
   }
-  return MakeNode(std::move(out), {a}, [](Node& n, std::size_t, Matrix&) {
-    Matrix& ag = n.parents[0]->EnsureGrad();
-    for (int r = 0; r < n.grad.rows(); ++r) {
-      for (int c = 0; c < n.grad.cols(); ++c) {
-        const float y = n.value.at(r, c);
-        ag.at(r, c) += (1.0f - y * y) * n.grad.at(r, c);
+  lists->nbrs.assign(sample.nbrs.begin() + raw[0],
+                     sample.nbrs.begin() + raw[n]);
+  const int* offsets = lists->offsets.data();
+  const int* nbrs = lists->nbrs.data();
+  Matrix out(n, d);
+  for (int i = 0; i < n; ++i) {
+    if (offsets[i] == offsets[i + 1]) continue;
+    const float w = 1.0f / static_cast<float>(offsets[i + 1] - offsets[i]);
+    float* row = out.data() + static_cast<std::size_t>(i) * d;
+    for (int t = offsets[i]; t < offsets[i + 1]; ++t) {
+      const int j = nbrs[t];
+      TANGO_CHECK(0 <= j && j < n, "node %d samples neighbour %d of %d", i,
+                  j, n);
+      TANGO_CHECK(t == offsets[i] || nbrs[t - 1] < j,
+                  "node %d's neighbours are not strictly ascending", i);
+      const float* hj = h->value.data() + static_cast<std::size_t>(j) * d;
+      for (int c = 0; c < d; ++c) {
+        const float prod = w * hj[c];
+        row[c] += prod;
       }
     }
-  });
-}
-
-Var Exp(const Var& a) {
-  Matrix out = a->value;
-  for (int r = 0; r < out.rows(); ++r) {
-    for (int c = 0; c < out.cols(); ++c) out.at(r, c) = std::exp(out.at(r, c));
   }
-  return MakeNode(std::move(out), {a}, [](Node& n, std::size_t, Matrix&) {
-    Matrix& ag = n.parents[0]->EnsureGrad();
-    for (int r = 0; r < n.grad.rows(); ++r) {
-      for (int c = 0; c < n.grad.cols(); ++c) {
-        ag.at(r, c) += n.value.at(r, c) * n.grad.at(r, c);
+  return MakeNode(std::move(out), {h},
+                  [lists](Node& node, std::size_t, Matrix& scratch) {
+    // Mᵀ·g, as MatMulGradB forms it: each row j sums w_i·g(i,:) over the
+    // rows i that sampled j, i ascending, from +0.0f, then adds once.
+    const int* off = lists->offsets.data();
+    const int* adj = lists->nbrs.data();
+    const Matrix& g = node.grad;
+    const auto width = static_cast<std::size_t>(g.cols());
+    scratch.Resize(g.rows(), g.cols());
+    scratch.Fill(0.0f);
+    for (int i = 0; i < g.rows(); ++i) {
+      if (off[i] == off[i + 1]) continue;
+      const float w = 1.0f / static_cast<float>(off[i + 1] - off[i]);
+      const float* gi = g.data() + static_cast<std::size_t>(i) * width;
+      for (int t = off[i]; t < off[i + 1]; ++t) {
+        float* sj = scratch.data() + static_cast<std::size_t>(adj[t]) * width;
+        for (std::size_t c = 0; c < width; ++c) {
+          const float prod = w * gi[c];
+          sj[c] += prod;
+        }
       }
     }
+    node.parents[0]->EnsureGrad().Add(scratch);
   });
 }
 
@@ -517,9 +581,7 @@ SplitBackward::SplitBackward(const Var& root,
       for (std::size_t p = 0; p < n->parents.size(); ++p) {
         Node* parent = n->parents[p].get();
         if (!parent->requires_grad) continue;
-        if (n->op == Op::kMatMul) {
-          scratch_size_ = std::max(scratch_size_, parent->value.size());
-        }
+        scratch_size_ = std::max(scratch_size_, parent->value.size());
         if (!GradLeaf(*parent)) continue;
         TANGO_CHECK(CanDefer(*n, p),
                     "an op adds into a leaf parameter through an add it "

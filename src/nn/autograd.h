@@ -2,8 +2,9 @@
 //
 // This is the stand-in for the paper's PyTorch dependency: enough ops to
 // express the GraphSAGE/GCN/GAT encoders and the A2C/SAC heads of §5.3 —
-// matmul, broadcast add, activations, row-wise softmax with masking (the
-// policy context filter c_t), concat, gather, and scalar reductions.
+// matmul, broadcast add, ReLU, GraphSAGE's sampled neighbour mean, row-wise
+// softmax with masking (the policy context filter c_t), concat, gather, and
+// scalar reductions.
 //
 // Usage: build a graph of Var nodes, call Backward(loss) — gradients
 // accumulate into every reachable node with requires_grad. A loss that sums
@@ -39,14 +40,26 @@ struct Node {
   Op op = Op::kOther;
   std::vector<Var> parents;
   /// Adds this node's share of the gradient into parents[p]->grad; called
-  /// only for parents that require a gradient. MatMul forms its product in
-  /// `scratch` before adding it; the other ops leave `scratch` alone.
+  /// only for parents that require a gradient. MatMul and NeighbourMean form
+  /// their share in `scratch` (at most the parent's size) before adding it;
+  /// the other ops leave `scratch` alone.
   std::function<void(Node&, std::size_t p, Matrix& scratch)> backward;
 
   Matrix& EnsureGrad() {
     if (!grad.SameShape(value)) grad = Matrix(value.rows(), value.cols());
     return grad;
   }
+};
+
+/// The neighbours one GraphSAGE encode aggregates over, per layer and node,
+/// each node's in ascending order: node i of layer l owns
+/// nbrs[offsets[l·(n+1) + i], offsets[l·(n+1) + i + 1]). gnn::Encoder::Sample
+/// draws it apart from the forward, so a caller can tell whether two encodes
+/// of a graph saw the same sample. Empty for encoders that do not sample.
+struct NeighbourSample {
+  std::vector<int> offsets;
+  std::vector<int> nbrs;
+  bool operator==(const NeighbourSample&) const = default;
 };
 
 /// Wrap a constant (no gradient).
@@ -125,13 +138,29 @@ void BackwardSteps(const Var& root, const std::vector<Var>& step_losses,
 Var MatMul(const Var& a, const Var& b);
 /// Elementwise add; `b` may also be a 1×C row vector broadcast over rows.
 Var Add(const Var& a, const Var& b);
+Var Relu(const Var& a);
+
+/// The nodes MatMul, Add and Relu make, around a value the caller computed:
+/// the same parents, op and backward, with the value taken as given. The
+/// banded Mlp forward builds its tape with zero-filled values and fills
+/// them, row band by row band, before anything reads them.
+Var MatMulNode(const Var& a, const Var& b, Matrix value);
+Var AddNode(const Var& a, const Var& b, Matrix value);
+Var ReluNode(const Var& a, Matrix value);
+
+/// GraphSAGE's mean over layer `layer` of `sample` (DESIGN.md §14): row i
+/// starts at +0.0f and adds w_i·h(j,:) for each sampled j ascending, with
+/// w_i = 1/count; each product is rounded, then added, so it is bit for bit
+/// MatMul(Constant(M), h) for the row-normalised N×N mean matrix M, without
+/// forming M. Rows of nodes with no neighbour are +0.0f. TANGO_CHECKs that
+/// every node's neighbours are strictly ascending (M holds a repeated
+/// neighbour once).
+Var NeighbourMean(const Var& h, const NeighbourSample& sample,
+                  std::size_t layer);
 Var Sub(const Var& a, const Var& b);
 /// Elementwise (Hadamard) product, same shapes.
 Var Mul(const Var& a, const Var& b);
 Var Scale(const Var& a, float s);
-Var Relu(const Var& a);
-Var Tanh(const Var& a);
-Var Exp(const Var& a);
 
 /// Row-wise softmax. When `mask` is non-null (same shape, 0/1 constants),
 /// masked entries get probability exactly 0 — the paper's context filter

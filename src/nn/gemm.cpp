@@ -70,7 +70,7 @@ template <class V, int kVecs>
     for (int v = 0; v < kVecs; ++v) {
       V bv;
       std::memcpy(&bv, brow + v * kLanes, sizeof(V));
-      // Two statements, so no compiler contracts them into an FMA.
+      // Rounded, then added: -ffp-contract=off keeps the two unfused.
       const V prod = a * bv;
       acc[v] += prod;
     }
@@ -136,7 +136,7 @@ template <class V, int kVecs>
 void GemmBaseline(const GemmArgs& g) { GemmBody<V4, 8>(g); }
 
 #if TANGO_GEMM_AVX2
-/// Eight 8-lane accumulators. The target adds AVX2 only, not FMA.
+/// Eight 8-lane accumulators.
 [[gnu::target("avx2")]] void GemmAvx2(const GemmArgs& g) {
   GemmBody<V8, 8>(g);
 }
@@ -175,14 +175,23 @@ GemmIsa ActiveGemmIsa() {
 
 TANGO_HOT void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out,
                           GemmIsa isa) {
+  MatMulRowsInto(a, b, 0, a.rows(), out, isa);
+}
+
+TANGO_HOT void MatMulRowsInto(const Matrix& a, const Matrix& b, int r0, int r1,
+                              Matrix* out, GemmIsa isa) {
   TANGO_CHECK(a.cols() == b.rows(), "matmul shape mismatch %dx%d * %dx%d",
               a.rows(), a.cols(), b.rows(), b.cols());
   TANGO_CHECK(out->rows() == a.rows() && out->cols() == b.cols(),
               "matmul output is %dx%d, want %dx%d", out->rows(), out->cols(),
               a.rows(), b.cols());
+  TANGO_CHECK(0 <= r0 && r0 <= r1 && r1 <= a.rows(),
+              "rows [%d,%d) outside a %d-row product", r0, r1, a.rows());
+  const auto k = static_cast<std::size_t>(a.cols());
   const auto n = static_cast<std::size_t>(b.cols());
-  Run(isa, {a.data(), static_cast<std::size_t>(a.cols()), 1, b.data(), n,
-            out->data(), n, a.rows(), a.cols(), b.cols()});
+  const auto first = static_cast<std::size_t>(r0);
+  Run(isa, {a.data() + first * k, k, 1, b.data(), n, out->data() + first * n,
+            n, r1 - r0, a.cols(), b.cols()});
 }
 
 TANGO_HOT void MatMulTransAInto(const Matrix& a, const Matrix& b, Matrix* out,

@@ -7,15 +7,19 @@
 // skipping every k with a(i,k) == 0.0f (so −0.0 is skipped too, and an inf
 // or NaN in b behind a zero a never reaches the sum); each product is
 // rounded to float, then added — never fused into an FMA. Register tiling
-// and vector lanes only regroup work across independent output elements.
+// and vector lanes only regroup work across independent output elements,
+// and each output row is summed on its own, so any band of rows is bit for
+// bit those rows of the whole product.
 //
 // The kernel packs each row of `a` into a short list of its nonzero
 // (k, a(i,k)) pairs, so the zero skip costs one branch-free pass per row
 // instead of an unpredictable branch per k on ReLU-sparse rows. It then
 // holds a strip of the output row in registers for the whole k loop. A
 // baseline build and an AVX2 build of the same body are compiled in; the
-// AVX2 one is picked once, at first use, when the host supports it. Its
-// target enables AVX2 only, not FMA, so the compiler cannot fuse either.
+// AVX2 one is picked once, at first use, when the host supports it. No
+// variant fuses because every Tango library compiles with -ffp-contract=off
+// (src/CMakeLists.txt): GCC's default, -ffp-contract=fast, fuses a multiply
+// and an add across statements wherever the target has FMA.
 //
 // These files must stay free of the autograd engine (`inference-tape` in
 // tools/lint.py): the tape calls into them, so a reverse edge would be an
@@ -44,6 +48,13 @@ GemmIsa ActiveGemmIsa();
 /// differential tests run both variants).
 TANGO_HOT void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out,
                           GemmIsa isa = ActiveGemmIsa());
+
+/// Rows [r0, r1) of a · b into the same rows of `out`, which must already be
+/// a.rows()×b.cols(); no other row is written and nothing is allocated. The
+/// rows are bit for bit the ones MatMulInto writes: the banded Mlp forward
+/// runs each band's rows through it.
+TANGO_HOT void MatMulRowsInto(const Matrix& a, const Matrix& b, int r0, int r1,
+                              Matrix* out, GemmIsa isa = ActiveGemmIsa());
 
 /// out = aᵀ · b without materialising aᵀ: out(i,j) = Σ_k a(k,i)·b(k,j),
 /// with the same skip and order. `out` must already be a.cols()×b.cols().

@@ -9,6 +9,10 @@
 
 #include "nn/autograd.h"
 
+namespace tango {
+class ThreadPool;
+}  // namespace tango
+
 namespace tango::nn {
 
 /// Collects trainable parameters so optimizers can iterate them.
@@ -35,6 +39,8 @@ class Linear {
   Var Forward(const Var& x) const;
   int in_features() const { return in_; }
   int out_features() const { return out_; }
+  const Var& weight() const { return w_; }
+  const Var& bias() const { return b_; }
 
  private:
   Var w_;
@@ -49,16 +55,23 @@ void CopyParams(const ParamStore& src, ParamStore& dst);
 /// Polyak soft update: dst ← (1−tau)·dst + tau·src. Used for SAC targets.
 void SoftUpdateParams(const ParamStore& src, ParamStore& dst, float tau);
 
-enum class Activation { kRelu, kTanh, kNone };
-
-/// Multi-layer perceptron with a configurable head activation.
+/// Multi-layer perceptron: ReLU between layers, linear output.
 class Mlp {
  public:
   Mlp() = default;
-  /// `dims` = {in, h1, ..., out}; hidden activations ReLU, output linear.
+  /// `dims` = {in, h1, ..., out}.
   Mlp(ParamStore& store, const std::string& name, std::vector<int> dims,
-      Rng& rng, Activation hidden = Activation::kRelu);
-  Var Forward(const Var& x) const;
+      Rng& rng);
+
+  /// The taped forward: per layer MatMul, the bias Add and (but for the
+  /// last layer) Relu, the nodes and values those ops make, bit for bit
+  /// (DESIGN.md §14, "Decision forward on the pool"). The tape is built
+  /// first, on the caller, in the order the ops allocate it; then the
+  /// values are filled in row bands, each band running every layer for its
+  /// own rows, one band per slot of `pool`. A null pool, or an input with
+  /// fewer than two bands' worth of rows, fills everything as one band on
+  /// the caller. Pool threads allocate nothing.
+  Var Forward(const Var& x, ThreadPool* pool = nullptr) const;
 
   /// The paper's actor/critic body: in → 256 → 128 → 32 → out, ReLU.
   static Mlp PaperHead(ParamStore& store, const std::string& name, int in,
@@ -66,7 +79,6 @@ class Mlp {
 
  private:
   std::vector<Linear> layers_;
-  Activation hidden_ = Activation::kRelu;
 };
 
 }  // namespace tango::nn

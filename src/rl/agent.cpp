@@ -84,9 +84,9 @@ Var A2cAgent::PolicyLogits(const GraphState& s,
                            const gnn::NeighbourSample& sample,
                            Var* value_out) {
   const Var h = encoder_->Forward(s.graph, sample);
-  const Var scores = actor_.Forward(h);            // N×1
-  const Var logits = nn::Transpose(scores);        // 1×N
-  *value_out = critic_.Forward(MeanPool(h));       // 1×1
+  const Var scores = actor_.Forward(h, &LearnerPool());  // N×1
+  const Var logits = nn::Transpose(scores);              // 1×N
+  *value_out = critic_.Forward(MeanPool(h));             // 1×1
   return logits;
 }
 

@@ -3,7 +3,7 @@
 // allocation discipline of the hot paths under a process-wide counting
 // operator new: the storm generators, a steady-state DSS-LC round, the
 // state storage's sync/read path, a whole system's state sync, and the
-// pool threads of an A2C update.
+// pool threads of an A2C update and of an A2C decision's forward.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -513,41 +513,55 @@ TEST(SyncAllocation, SteadyStateSyncOnBusySystemAllocatesNothing) {
   }
 }
 
-TEST(BackwardStepsAllocation, PoolThreadsAllocateNothingInASteadyUpdate) {
-  // The paper-default learner on paper_dual's shape: 104 cluster
-  // pseudo-nodes in a ring. The updating thread allocates every gradient
-  // buffer and scratch matrix before the fan-out, so after one warm-up
-  // update the pool threads (the step walks, the replay, Adam) allocate
-  // nothing: no pool thread grows a malloc arena of its own.
-  rl::A2cConfig cfg;
-  rl::A2cAgent agent(cfg);
-  constexpr int kNodes = 104;
-  std::vector<std::vector<int>> ring(kNodes);
-  for (int i = 0; i < kNodes; ++i) {
-    ring[static_cast<std::size_t>(i)] = {(i + kNodes - 1) % kNodes,
-                                         (i + 1) % kNodes};
-    std::sort(ring[static_cast<std::size_t>(i)].begin(),
-              ring[static_cast<std::size_t>(i)].end());
-  }
-  Rng env(41);
-  auto state = [&] {
-    rl::GraphState s;
-    s.graph.features = nn::Matrix(kNodes, cfg.feature_dim);
+/// Random-load states on paper_dual's shape: 104 cluster pseudo-nodes in a
+/// ring.
+class RingStates {
+ public:
+  explicit RingStates(int feature_dim) : feature_dim_(feature_dim) {
     for (int i = 0; i < kNodes; ++i) {
-      for (int f = 0; f < cfg.feature_dim; ++f) {
-        s.graph.features.at(i, f) = static_cast<float>(env.NextDouble());
+      ring_[static_cast<std::size_t>(i)] = {(i + kNodes - 1) % kNodes,
+                                            (i + 1) % kNodes};
+      std::sort(ring_[static_cast<std::size_t>(i)].begin(),
+                ring_[static_cast<std::size_t>(i)].end());
+    }
+  }
+
+  rl::GraphState Next() {
+    rl::GraphState s;
+    s.graph.features = nn::Matrix(kNodes, feature_dim_);
+    for (int i = 0; i < kNodes; ++i) {
+      for (int f = 0; f < feature_dim_; ++f) {
+        s.graph.features.at(i, f) = static_cast<float>(env_.NextDouble());
       }
     }
-    s.graph.adj = ring;
+    s.graph.adj = ring_;
     return s;
-  };
+  }
+
+ private:
+  static constexpr int kNodes = 104;
+  int feature_dim_;
+  std::vector<std::vector<int>> ring_ =
+      std::vector<std::vector<int>>(kNodes);
+  Rng env_{41};
+};
+
+TEST(BackwardStepsAllocation, PoolThreadsAllocateNothingInASteadyUpdate) {
+  // The paper-default learner on paper_dual's ring. The updating thread
+  // allocates every gradient buffer and scratch matrix before the fan-out,
+  // so after one warm-up update the pool threads (the step walks, the
+  // replay, Adam) allocate nothing: no pool thread grows a malloc arena of
+  // its own.
+  rl::A2cConfig cfg;
+  rl::A2cAgent agent(cfg);
+  RingStates states(cfg.feature_dim);
   for (int update = 0; update < 2; ++update) {
     for (int t = 0; t + 1 < cfg.train_interval; ++t) {
-      agent.Act(state());
-      agent.Observe(0.1f, state(), false);
+      agent.Act(states.Next());
+      agent.Observe(0.1f, states.Next(), false);
     }
-    agent.Act(state());
-    const rl::GraphState next = state();
+    agent.Act(states.Next());
+    const rl::GraphState next = states.Next();
     const std::int64_t total_before = g_alloc_events.load();
     const std::int64_t mine_before = t_alloc_events;
     agent.Observe(0.1f, next, false);  // the interval's last step trains
@@ -559,6 +573,30 @@ TEST(BackwardStepsAllocation, PoolThreadsAllocateNothingInASteadyUpdate) {
       EXPECT_EQ(others, 0) << "pool threads allocated";
     }
   }
+}
+
+TEST(MlpForwardAllocation, PoolThreadsAllocateNothingInASteadyAct) {
+  // Act() builds the actor head's whole tape on the deciding thread, then
+  // fills its values in row bands on the learner pool (104 rows: at least
+  // two bands on any host), so after a warm-up decision the pool threads
+  // allocate nothing.
+  rl::A2cConfig cfg;
+  rl::A2cAgent agent(cfg);
+  RingStates states(cfg.feature_dim);
+  agent.Act(states.Next());
+  agent.Observe(0.1f, states.Next(), false);
+  for (int t = 0; t < 8; ++t) {
+    const rl::GraphState s = states.Next();
+    const std::int64_t total_before = g_alloc_events.load();
+    const std::int64_t mine_before = t_alloc_events;
+    agent.Act(s);
+    const std::int64_t mine = t_alloc_events - mine_before;
+    const std::int64_t others = g_alloc_events.load() - total_before - mine;
+    EXPECT_GT(mine, 0);  // the tape, on the deciding thread
+    EXPECT_EQ(others, 0) << "pool threads allocated in decision " << t;
+    agent.Observe(0.1f, states.Next(), false);
+  }
+  EXPECT_EQ(agent.train_steps(), 0);
 }
 
 }  // namespace

@@ -1,8 +1,13 @@
-// Tests for the graph encoders (GraphSAGE, GCN, GAT, Native).
+// Tests for the graph encoders (GraphSAGE, GCN, GAT, Native) and for
+// GraphSAGE's sparse neighbour mean against the dense mean matrix it
+// replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "gnn/encoder.h"
 
@@ -255,6 +260,142 @@ TEST(GraphSage, SampleDrawsOnlyAboveDegreeP) {
     differed = differed || !(sa == enc->Sample(star, b));
   }
   EXPECT_TRUE(differed);
+}
+
+// ---- Sparse neighbour mean (nn::NeighbourMean) ----------------------------
+
+/// The row-normalised N×N mean matrix of one layer of `sample`, as GraphSAGE
+/// built it before the sparse op: 1/count at each sampled neighbour.
+Matrix DenseMeanMatrix(const NeighbourSample& sample, std::size_t layer,
+                       int n) {
+  Matrix agg(n, n);
+  const int* off =
+      sample.offsets.data() + layer * (static_cast<std::size_t>(n) + 1);
+  for (int i = 0; i < n; ++i) {
+    if (off[i] == off[i + 1]) continue;
+    const float w = 1.0f / static_cast<float>(off[i + 1] - off[i]);
+    for (int t = off[i]; t < off[i + 1]; ++t) {
+      agg.at(i, sample.nbrs[static_cast<std::size_t>(t)]) = w;
+    }
+  }
+  return agg;
+}
+
+/// Random values of mixed magnitude, with zeros and −0.0 sprinkled in.
+Matrix MixedValues(int rows, int cols, Rng& rng) {
+  Matrix m(rows, cols);
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) {
+      const auto pick = rng.UniformInt(0, 15);
+      const auto exponent = static_cast<int>(rng.UniformInt(-6, 6));
+      const auto scale = std::ldexp(1.0, exponent);
+      const auto v = static_cast<float>(rng.Uniform(-1.0, 1.0) * scale);
+      m.at(r, c) = pick == 0 ? 0.0f : pick == 1 ? -0.0f : v;
+    }
+  }
+  return m;
+}
+
+void ExpectSameBits(const Matrix& want, const Matrix& got,
+                    const std::string& what) {
+  ASSERT_TRUE(want.SameShape(got)) << what;
+  for (int r = 0; r < want.rows(); ++r) {
+    for (int c = 0; c < want.cols(); ++c) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(want.at(r, c)),
+                std::bit_cast<std::uint32_t>(got.at(r, c)))
+          << what << " entry (" << r << "," << c << "): want "
+          << want.at(r, c) << ", got " << got.at(r, c);
+    }
+  }
+}
+
+/// NeighbourMean(h) against MatMul(Constant(M), h) on every layer of
+/// GraphSAGE's sample of `g`: the forward values, and h's gradient after two
+/// backward passes (the second adds onto the first, so an op that added its
+/// products into h's gradient one by one would round differently).
+void CheckAgainstDense(const GraphBatch& g, const std::string& what) {
+  const int n = g.num_nodes();
+  Rng init(5);
+  nn::ParamStore store;
+  const GraphSage sage(store, "s", g.features.cols(), 8, /*layers=*/2,
+                       /*sample_p=*/3, init);
+  Rng draw(static_cast<std::uint64_t>(n));
+  const NeighbourSample sample = sage.Sample(g, draw);
+  const Matrix h = MixedValues(n, 40, draw);
+  const Matrix upstream = MixedValues(n, 40, draw);
+  for (std::size_t l = 0; l < 2; ++l) {
+    const std::string at = what + " layer " + std::to_string(l);
+    const Var h_dense = nn::Parameter(h);
+    const Var dense =
+        nn::MatMul(nn::Constant(DenseMeanMatrix(sample, l, n)), h_dense);
+    const Var h_sparse = nn::Parameter(h);
+    const Var sparse = nn::NeighbourMean(h_sparse, sample, l);
+    ExpectSameBits(dense->value, sparse->value, at + " forward");
+    const Var dense_loss = nn::Sum(nn::Mul(dense, nn::Constant(upstream)));
+    const Var sparse_loss = nn::Sum(nn::Mul(sparse, nn::Constant(upstream)));
+    for (int pass = 0; pass < 2; ++pass) {
+      nn::Backward(dense_loss);
+      nn::Backward(sparse_loss);
+    }
+    ExpectSameBits(h_dense->grad, h_sparse->grad, at + " gradient");
+  }
+}
+
+GraphBatch WithFeatures(std::vector<std::vector<int>> adj) {
+  GraphBatch g;
+  g.features = Matrix(static_cast<int>(adj.size()), 3, 0.5f);
+  g.adj = std::move(adj);
+  return g;
+}
+
+TEST(NeighbourMean, MatchesTheDenseMeanMatrixBitForBit) {
+  // Isolated nodes beside one edge.
+  CheckAgainstDense(WithFeatures({{}, {2}, {1}, {}, {}}), "isolated");
+  // paper_dual's 104-node ring: degree 2, nothing sampled.
+  std::vector<std::vector<int>> ring(104);
+  for (int i = 0; i < 104; ++i) {
+    ring[static_cast<std::size_t>(i)] = {(i + 103) % 104, (i + 1) % 104};
+    std::sort(ring[static_cast<std::size_t>(i)].begin(),
+              ring[static_cast<std::size_t>(i)].end());
+  }
+  CheckAgainstDense(WithFeatures(ring), "ring");
+  // Eight LAN meshes of six workers in a ring of bridges: degree 5–7 > p,
+  // so every node samples 3 and most nodes are sampled by 3 or more.
+  std::vector<std::vector<int>> mesh(48);
+  auto link = [](std::vector<std::vector<int>>& adj, int u, int v) {
+    adj[static_cast<std::size_t>(u)].push_back(v);
+    adj[static_cast<std::size_t>(v)].push_back(u);
+  };
+  for (int c = 0; c < 8; ++c) {
+    for (int a = 0; a < 6; ++a) {
+      for (int b = a + 1; b < 6; ++b) link(mesh, c * 6 + a, c * 6 + b);
+    }
+    link(mesh, c * 6, ((c + 1) % 8) * 6 + 1);
+  }
+  CheckAgainstDense(WithFeatures(mesh), "mesh");
+  // 300 nodes, past the kernel's 256-entry packing chunk, with random
+  // degrees from 0 up.
+  Rng topo(300);
+  std::vector<std::vector<int>> random(300);
+  for (int u = 0; u < 300; ++u) {
+    const auto edges = topo.UniformInt(0, 4);
+    for (std::int64_t e = 0; e < edges; ++e) {
+      const int v = static_cast<int>(topo.UniformInt(0, 299));
+      const auto& nu = random[static_cast<std::size_t>(u)];
+      if (v == u || std::find(nu.begin(), nu.end(), v) != nu.end()) continue;
+      link(random, u, v);
+    }
+  }
+  CheckAgainstDense(WithFeatures(random), "300 nodes");
+}
+
+TEST(NeighbourMeanDeathTest, RepeatedNeighbourFails) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  NeighbourSample sample;
+  sample.offsets = {0, 2, 2, 2};  // node 0 samples node 1 twice
+  sample.nbrs = {1, 1};
+  const Var h = nn::Parameter(Matrix(3, 4, 1.0f));
+  EXPECT_DEATH(nn::NeighbourMean(h, sample, 0), "not strictly ascending");
 }
 
 }  // namespace

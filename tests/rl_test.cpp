@@ -389,12 +389,12 @@ TEST(A2cAgent, UpdateReusesTheActTimeForward) {
   // Each step's loss: LogSoftmax, GatherCols, Scale, the return Constant,
   // Sub, Mul, Scale, the entropy, its Scale, two Adds, and the Add into the
   // total (one Scale averages at the end). The bootstrap: one GraphSAGE
-  // encode (the features, then per layer the mean matrix, its product, the
-  // concat, the Linear's MatMul and Add, the ReLU), the mean pool's
-  // Constant and MatMul, and the critic's 4 Linears and 3 ReLUs. A re-run
-  // forward adds about 38 nodes per step.
+  // encode (the features, then per layer the neighbour mean, the concat,
+  // the Linear's MatMul and Add, the ReLU), the mean pool's Constant and
+  // MatMul, and the critic's 4 Linears and 3 ReLUs. A re-run forward adds
+  // about 36 nodes per step.
   constexpr int kLossPerStep = 12;
-  constexpr int kBootstrap = (1 + 2 * 6) + 2 + (4 * 2 + 3);
+  constexpr int kBootstrap = (1 + 2 * 5) + 2 + (4 * 2 + 3);
   EXPECT_LE(added, 16 * kLossPerStep + 1 + kBootstrap);
 }
 

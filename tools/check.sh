@@ -3,8 +3,11 @@
 # configure, an ASan+UBSan configure (-DTANGO_SANITIZE=ON), a TSan
 # configure (-DTANGO_TSAN=ON) that runs only the concurrency-touching tests
 # (thread pool, harness fan-out, TangoScope emission, sharded engine, and
-# the A2C learner's split backward on the shared learner pool:
-# LearnerPins, A2cAgent, BackwardSteps), a TangoAudit configure
+# the A2C learner's banded decision forward and split backward on the
+# shared learner pool: LearnerPins, A2cAgent, BackwardSteps, MlpForward,
+# NeighbourMean), an FMA configure (Release, -march=x86-64-v3, skipped on a
+# host without AVX2 and FMA) that runs the learner's bit-identity tests on
+# a target whose every multiply-add could fuse, a TangoAudit configure
 # (-DTANGO_AUDIT=ON) that runs the full suite plus the perf_sched and
 # perf_sim smokes with every runtime invariant checker live, a TangoScope
 # configure (-DTANGO_SCOPE=ON) that runs the full suite plus a traced
@@ -23,6 +26,7 @@
 #   $ tools/check.sh sanitize   # only the ASan+UBSan config
 #   $ tools/check.sh ubsan      # only the UBSan-only config (full suite)
 #   $ tools/check.sh tsan       # only the TSan config (parallel-path tests)
+#   $ tools/check.sh fma        # only the x86-64-v3 config (bit-identity)
 #   $ tools/check.sh audit      # only the TANGO_AUDIT config (full suite)
 #   $ tools/check.sh scope      # only the TANGO_SCOPE config (+trace smoke)
 #   $ tools/check.sh lint       # only the project lint (+ lint_test.py)
@@ -34,10 +38,10 @@ repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 jobs="$(nproc 2>/dev/null || echo 4)"
 what="${1:-all}"
 case "$what" in
-  all|plain|sanitize|ubsan|tsan|audit|scope|lint|vet|static) ;;
+  all|plain|sanitize|ubsan|tsan|fma|audit|scope|lint|vet|static) ;;
   *)
-    echo "usage: tools/check.sh [all|plain|sanitize|ubsan|tsan|audit|scope|" \
-         "lint|vet|static]" >&2
+    echo "usage: tools/check.sh [all|plain|sanitize|ubsan|tsan|fma|audit|" \
+         "scope|lint|vet|static]" >&2
     exit 2
     ;;
 esac
@@ -97,15 +101,34 @@ if [[ "$what" == "all" || "$what" == "tsan" ]]; then
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
   # LearnerPins, A2cAgent and BackwardSteps drive the A2C update's step
   # fan-out, parameter replay and Adam tiles on the learner pool, two
-  # learners at once included.
+  # learners at once included; MlpForward drives the decision forward's
+  # row bands on live pools, and NeighbourMean the sparse mean it reads.
   run_config tsan "$repo_root/build-tsan" \
-    -R 'ThreadPool|DssLc|Harness|Experiment|Scope|Shard|Mailbox|LearnerPins|A2cAgent|BackwardSteps' \
+    -R 'ThreadPool|DssLc|Harness|Experiment|Scope|Shard|Mailbox|LearnerPins|A2cAgent|BackwardSteps|MlpForward|NeighbourMean' \
     -DTANGO_TSAN=ON -DTANGO_SCOPE=ON
   # The sharded engine's epoch fan-out under TSan: the mailbox exchange and
   # the per-shard slabs are the only cross-thread surfaces, and the smoke
   # sweep drives them with 2/4/8 shards on a real thread pool.
   echo "== [tsan] sharded perf_sim --smoke =="
   (cd "$repo_root/build-tsan" && bench/perf_sim --smoke)
+fi
+
+if [[ "$what" == "all" || "$what" == "fma" ]]; then
+  # The learner's results are pinned bit for bit (LearnerPins), which holds
+  # only while every product is rounded before it is added. A Release build
+  # for x86-64-v3 has FMA everywhere, so GCC would fuse wherever the build
+  # let it contract; the GEMM, banded-forward, sparse-mean and split-backward
+  # differential tests and the pins must still pass there. CXXFLAGS (CI's
+  # -Werror) is kept.
+  if grep -qw avx2 /proc/cpuinfo 2>/dev/null &&
+     grep -qw fma /proc/cpuinfo 2>/dev/null; then
+    run_config fma "$repo_root/build-fma" \
+      -R 'LearnerPins|A2cAgent|Gemm|BackwardSteps|MlpForward|NeighbourMean' \
+      -DCMAKE_BUILD_TYPE=Release \
+      "-DCMAKE_CXX_FLAGS=${CXXFLAGS:-} -march=x86-64-v3"
+  else
+    echo "== [fma] skipped: the host lacks avx2 or fma =="
+  fi
 fi
 
 if [[ "$what" == "all" || "$what" == "audit" ]]; then

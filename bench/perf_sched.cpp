@@ -10,19 +10,24 @@
 // on the large and huge views. Then times a short end-to-end simulation
 // and concurrent benchmark repetitions. A DCG-BE row times the A2C
 // learner's Act() and its update on paper_dual's shape (104 cluster
-// pseudo-nodes in a ring, so GraphSAGE never samples) and on a node-level
-// LAN mesh that samples, next to how many rollout steps the update trained
-// on their act-time forward (hits) or had to re-run (misses). On the ring,
-// Act()'s forward and the update's backward + Adam are each timed on one
-// slot and on the learner pool over identical inputs. Emits
-// BENCH_sched.json (cwd) so later changes can diff scheduling throughput
-// against this baseline.
+// pseudo-nodes in a ring, so GraphSAGE never samples), on the same ring
+// drained in bursts (several requests per synced view, two services
+// alternating, so most decisions copy a twin's forward) and on a
+// node-level LAN mesh that samples, next to how many rollout steps the
+// update trained on their act-time forward (hits) or had to re-run
+// (misses) and how many decisions were twins. On the ring, Act()'s forward
+// and the update's backward + Adam are each timed on one slot and on the
+// learner pool over identical inputs, and the burst's forwards are timed
+// run afresh and copied. Emits BENCH_sched.json (cwd) so later changes can
+// diff scheduling throughput against this baseline.
 //
 // Exit status 1 when any gate fails: a steady-state round allocating other
 // than once, a DCG-BE update step unaccounted for (or any miss on the
-// ring), the pool's decision forward or update leaving other bits than one
-// slot's, or — full runs only — phases covering < 90% of sched.round_us on
-// the large or huge view, or (on >= 4 cores) the pool not beating one slot.
+// ring), a twin on the ring (whose states all differ) or none in the burst,
+// a twin's copy or the pool's decision forward or update leaving other
+// bits than the forward or one slot's, or — full runs only — phases
+// covering < 90% of sched.round_us on the large or huge view, or (on >= 4
+// cores) the pool not beating one slot.
 //
 // Flags: --smoke            small configs + invariant checks only, exit 1 on
 //                           failure, no BENCH write (CI gate)
@@ -272,7 +277,7 @@ RepsComparison CompareRepetitions() {
 
 /// DCG-BE's learner on one graph shape: Act() latency and update latency
 /// (the Observe that closes a rollout of n̂ = 16), with the update's reuse
-/// counters.
+/// counters, and how many decisions copied a twin's forward.
 struct DcgBeRow {
   const char* label = "";
   int nodes = 0;
@@ -284,10 +289,36 @@ struct DcgBeRow {
   double update_ms_max = 0.0;
   std::int64_t reuse_hits = 0;
   std::int64_t reuse_misses = 0;
+  std::int64_t twins = 0;
+  double twin_act_us_p50 = 0.0;   // 0 without twins
+  double fresh_act_us_p50 = 0.0;  // decisions that ran their own forward
 };
 
+/// Moves the load of four random workers of `st`, drawn from `rng`.
+void MoveLoad(StateStorage& st, std::vector<NodeSnapshot>& nodes, Rng& rng) {
+  for (int k = 0; k < 4; ++k) {
+    auto& w = nodes[static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(nodes.size()) - 1))];
+    w.cpu_available = rng.UniformInt(500, 8000);
+    w.queued = static_cast<int>(rng.UniformInt(0, 16));
+    st.Update(w);
+  }
+}
+
+/// be-backup, and be-analytics for the burst row's other service.
+constexpr ServiceId kBeBackup{9};
+constexpr ServiceId kBeAnalytics{5};
+
+/// Every view of the storage serves `per_view` requests, alternating
+/// between `services`; the load moves between views, so the states of two
+/// views differ. One request per view of one service makes every state
+/// differ; more are a dispatch drain, where the requests of one service
+/// within a view see the same state.
 DcgBeRow TimeDcgBe(const char* label, int clusters, int workers_per_cluster,
-                   sched::BeGranularity granularity, int decisions) {
+                   sched::BeGranularity granularity, int decisions,
+                   int per_view = 1,
+                   std::pair<ServiceId, ServiceId> services = {kBeBackup,
+                                                               kBeBackup}) {
   const auto catalog = workload::ServiceCatalog::Standard();
   sched::LearnedBeConfig cfg;
   cfg.granularity = granularity;
@@ -296,29 +327,30 @@ DcgBeRow TimeDcgBe(const char* label, int clusters, int workers_per_cluster,
   auto& agent = dynamic_cast<rl::A2cAgent&>(be->agent());
   StateStorage st = MakeStorage(clusters, workers_per_cluster, 91);
   std::vector<NodeSnapshot> nodes = st.All();
-  PendingRequest req;
-  req.request.service = ServiceId{9};  // be-backup
+  const auto request = [&services](int d) {
+    PendingRequest req;
+    req.request.service = d % 2 == 0 ? services.first : services.second;
+    return req;
+  };
   Rng load(17);
   std::vector<double> act_us;
+  std::vector<double> twin_us;
+  std::vector<double> fresh_us;
   std::vector<double> update_ms;
-  rl::GraphState state = be->BuildState(req, st);
+  rl::GraphState state = be->BuildState(request(0), st);
   DcgBeRow row;
   row.label = label;
   row.nodes = state.graph.num_nodes();
   row.decisions = decisions;
   for (int d = 0; d < decisions; ++d) {
+    const auto twins = agent.twin_forwards();
     double t0 = Now();
     const int action = agent.Act(state);
-    act_us.push_back((Now() - t0) * 1e6);
-    // Load moves between decisions, so every state differs.
-    for (int k = 0; k < 4; ++k) {
-      auto& w = nodes[static_cast<std::size_t>(
-          load.UniformInt(0, static_cast<std::int64_t>(nodes.size()) - 1))];
-      w.cpu_available = load.UniformInt(500, 8000);
-      w.queued = static_cast<int>(load.UniformInt(0, 16));
-      st.Update(w);
-    }
-    rl::GraphState next = be->BuildState(req, st);
+    const double us = (Now() - t0) * 1e6;
+    act_us.push_back(us);
+    (agent.twin_forwards() != twins ? twin_us : fresh_us).push_back(us);
+    if ((d + 1) % per_view == 0) MoveLoad(st, nodes, load);  // next view
+    rl::GraphState next = be->BuildState(request(d + 1), st);
     const auto steps = agent.train_steps();
     t0 = Now();
     agent.Observe(state.graph.features.at(action, 0), next, false);
@@ -334,6 +366,9 @@ DcgBeRow TimeDcgBe(const char* label, int clusters, int workers_per_cluster,
   }
   row.reuse_hits = agent.reuse_hits();
   row.reuse_misses = agent.reuse_misses();
+  row.twins = agent.twin_forwards();
+  if (!twin_us.empty()) row.twin_act_us_p50 = Percentile(twin_us, 0.50);
+  if (!fresh_us.empty()) row.fresh_act_us_p50 = Percentile(fresh_us, 0.50);
   return row;
 }
 
@@ -394,7 +429,7 @@ void BuildUpdateTape(int steps, UpdateTape* tape) {
   StateStorage st = MakeStorage(104, 10, 91);
   std::vector<NodeSnapshot> nodes = st.All();
   PendingRequest req;
-  req.request.service = ServiceId{9};
+  req.request.service = kBeBackup;
   Rng rng(7);
   const rl::A2cConfig a2c;
   auto encoder = gnn::MakeEncoder(a2c.encoder, tape->store, "enc",
@@ -424,13 +459,7 @@ void BuildUpdateTape(int steps, UpdateTape* tape) {
     nn::Var loss = nn::Add(nn::Add(pg, vloss), ent);
     tape->root = tape->root ? nn::Add(tape->root, loss) : loss;
     tape->step_losses.push_back(std::move(loss));
-    for (int k = 0; k < 4; ++k) {
-      auto& w = nodes[static_cast<std::size_t>(rng.UniformInt(
-          0, static_cast<std::int64_t>(nodes.size()) - 1))];
-      w.cpu_available = rng.UniformInt(500, 8000);
-      w.queued = static_cast<int>(rng.UniformInt(0, 16));
-      st.Update(w);
-    }
+    MoveLoad(st, nodes, rng);
   }
   tape->root = nn::Scale(tape->root, 1.0f / static_cast<float>(steps));
 }
@@ -511,6 +540,41 @@ struct ForwardRow {
   ForwardSide pool;
 };
 
+/// Act()'s networks, built as A2cAgent builds them: the paper-default
+/// encoder and the two paper heads, initialised from `rng`.
+struct DecisionNets {
+  nn::ParamStore store;
+  std::unique_ptr<gnn::Encoder> encoder;
+  nn::Mlp actor;
+  nn::Mlp critic;
+
+  explicit DecisionNets(Rng& rng) {
+    const rl::A2cConfig a2c;
+    encoder = gnn::MakeEncoder(a2c.encoder, store, "enc", a2c.feature_dim,
+                               a2c.embed_dim, rng);
+    actor = nn::Mlp::PaperHead(store, "actor", a2c.embed_dim, 1, rng);
+    critic = nn::Mlp::PaperHead(store, "critic", a2c.embed_dim, 1, rng);
+  }
+
+  /// The logits and the value of `state` over `sample`, the actor head's
+  /// rows banded over `pool`.
+  std::vector<nn::Var> Forward(const rl::GraphState& state,
+                               const gnn::NeighbourSample& sample,
+                               ThreadPool* pool) const {
+    const nn::Var h = encoder->Forward(state.graph, sample);
+    const nn::Var logits = nn::Transpose(actor.Forward(h, pool));
+    const int n = h->value.rows();
+    const nn::Var value = critic.Forward(nn::MatMul(
+        nn::Constant(nn::Matrix(1, n, 1.0f / static_cast<float>(n))), h));
+    return {logits, value};
+  }
+};
+
+/// `h` extended by the bits of a forward's logits and value.
+std::uint64_t ForwardDigest(std::uint64_t h, const std::vector<nn::Var>& f) {
+  return BitsDigest(BitsDigest(h, f[0]->value), f[1]->value);
+}
+
 ForwardRow TimeDecisionForward(int num_states, int reps) {
   const auto catalog = workload::ServiceCatalog::Standard();
   sched::LearnedBeConfig cfg;
@@ -519,27 +583,15 @@ ForwardRow TimeDecisionForward(int num_states, int reps) {
   StateStorage st = MakeStorage(104, 10, 91);
   std::vector<NodeSnapshot> nodes = st.All();
   PendingRequest req;
-  req.request.service = ServiceId{9};
+  req.request.service = kBeBackup;
   Rng rng(7);
-  const rl::A2cConfig a2c;
-  nn::ParamStore store;
-  const auto encoder = gnn::MakeEncoder(a2c.encoder, store, "enc",
-                                        a2c.feature_dim, a2c.embed_dim, rng);
-  const auto actor = nn::Mlp::PaperHead(store, "actor", a2c.embed_dim, 1, rng);
-  const auto critic =
-      nn::Mlp::PaperHead(store, "critic", a2c.embed_dim, 1, rng);
+  const DecisionNets nets(rng);
   std::vector<rl::GraphState> states;
   std::vector<gnn::NeighbourSample> samples;
   for (int s = 0; s < num_states; ++s) {
     states.push_back(be->BuildState(req, st));
-    samples.push_back(encoder->Sample(states.back().graph, rng));
-    for (int k = 0; k < 4; ++k) {
-      auto& w = nodes[static_cast<std::size_t>(rng.UniformInt(
-          0, static_cast<std::int64_t>(nodes.size()) - 1))];
-      w.cpu_available = rng.UniformInt(500, 8000);
-      w.queued = static_cast<int>(rng.UniformInt(0, 16));
-      st.Update(w);
-    }
+    samples.push_back(nets.encoder->Sample(states.back().graph, rng));
+    MoveLoad(st, nodes, rng);
   }
   ThreadPool one_slot(1);
   one_slot.Shutdown();
@@ -560,13 +612,10 @@ ForwardRow TimeDecisionForward(int num_states, int reps) {
       std::uint64_t digest = 0xcbf29ce484222325ULL;
       for (std::size_t s = 0; s < states.size(); ++s) {
         const double t0 = Now();
-        const nn::Var h = encoder->Forward(states[s].graph, samples[s]);
-        const nn::Var logits = nn::Transpose(actor.Forward(h, side.pool));
-        const int n = h->value.rows();
-        const nn::Var value = critic.Forward(nn::MatMul(
-            nn::Constant(nn::Matrix(1, n, 1.0f / static_cast<float>(n))), h));
+        const std::vector<nn::Var> f =
+            nets.Forward(states[s], samples[s], side.pool);
         side.us.push_back((Now() - t0) * 1e6);
-        digest = BitsDigest(BitsDigest(digest, logits->value), value->value);
+        digest = ForwardDigest(digest, f);
       }
       if (r == 0) side.out->digest = digest;
     }
@@ -575,10 +624,71 @@ ForwardRow TimeDecisionForward(int num_states, int reps) {
   return row;
 }
 
+/// A burst on the ring, as the burst DCG-BE row schedules it: `views`
+/// views of `per_view` requests alternating between two services. Every
+/// request's forward runs afresh; a request whose service the view has
+/// already served is a twin, and its forward is also copied from the
+/// view's first of that service (nn::CloneTape), as Act() copies it. The
+/// median µs of a forward and of a copy, and the FNV-1a digest of every
+/// request's logits and value, from its own forward or from its copy.
+struct TwinCopyRow {
+  int states = 0;
+  int copies = 0;
+  double forward_us_p50 = 0.0;
+  double copy_us_p50 = 0.0;
+  std::uint64_t fresh_digest = 0xcbf29ce484222325ULL;
+  std::uint64_t twin_digest = 0xcbf29ce484222325ULL;
+};
+
+TwinCopyRow TimeTwinCopies(int views, int per_view) {
+  const auto catalog = workload::ServiceCatalog::Standard();
+  sched::LearnedBeConfig cfg;
+  cfg.granularity = sched::BeGranularity::kCluster;
+  auto be = sched::MakeDcgBe(&catalog, gnn::EncoderKind::kGraphSage, 7, cfg);
+  StateStorage st = MakeStorage(104, 10, 91);
+  std::vector<NodeSnapshot> nodes = st.All();
+  Rng rng(7);
+  const DecisionNets nets(rng);
+  ThreadPool& pool = rl::LearnerPool();
+  TwinCopyRow row;
+  std::vector<double> forward_us;
+  std::vector<double> copy_us;
+  for (int v = 0; v < views; ++v) {
+    std::vector<nn::Var> first[2];  // the view's first forward per service
+    for (int q = 0; q < per_view; ++q) {
+      PendingRequest req;
+      req.request.service = q % 2 == 0 ? kBeBackup : kBeAnalytics;
+      const rl::GraphState state = be->BuildState(req, st);
+      const gnn::NeighbourSample sample = nets.encoder->Sample(state.graph, rng);
+      double t0 = Now();
+      const std::vector<nn::Var> own = nets.Forward(state, sample, &pool);
+      forward_us.push_back((Now() - t0) * 1e6);
+      row.fresh_digest = ForwardDigest(row.fresh_digest, own);
+      std::vector<nn::Var>& earlier = first[q % 2];
+      if (earlier.empty()) {
+        earlier = own;
+        row.twin_digest = ForwardDigest(row.twin_digest, own);
+        continue;
+      }
+      t0 = Now();
+      const std::vector<nn::Var> copy = nn::CloneTape(earlier);
+      copy_us.push_back((Now() - t0) * 1e6);
+      row.twin_digest = ForwardDigest(row.twin_digest, copy);
+      ++row.copies;
+    }
+    MoveLoad(st, nodes, rng);
+  }
+  row.states = views * per_view;
+  row.forward_us_p50 = Percentile(forward_us, 0.50);
+  if (!copy_us.empty()) row.copy_us_p50 = Percentile(copy_us, 0.50);
+  return row;
+}
+
 void WriteJson(const char* path, int cores, const std::vector<SchedRun>& sched,
                const std::vector<PhaseProfile>& phases, double e2e_s,
                const RepsComparison& reps, const std::vector<DcgBeRow>& dcgbe,
-               const ForwardRow& forward, const BackwardRow& backward) {
+               const ForwardRow& forward, const TwinCopyRow& copies,
+               const BackwardRow& backward) {
   std::ofstream out(path);
   out << "{\n  \"bench\": \"perf_sched\",\n  "
       << bench::ProvenanceJson(cores) << ",\n  \"sched\": {\n";
@@ -618,8 +728,10 @@ void WriteJson(const char* path, int cores, const std::vector<SchedRun>& sched,
         << ", \"act_us_p95\": " << r.act_us_p95 << ", \"update_ms_p50\": "
         << r.update_ms_p50 << ", \"update_ms_max\": " << r.update_ms_max
         << ", \"reuse_hits\": " << r.reuse_hits << ", \"reuse_misses\": "
-        << r.reuse_misses << "}" << (i + 1 < dcgbe.size() ? "," : "")
-        << "\n";
+        << r.reuse_misses << ", \"twins\": " << r.twins
+        << ", \"twin_act_us_p50\": " << r.twin_act_us_p50
+        << ", \"fresh_act_us_p50\": " << r.fresh_act_us_p50 << "}"
+        << (i + 1 < dcgbe.size() ? "," : "") << "\n";
   }
   const auto phases_json = [&out](const char* name, const BackwardPhases& p) {
     out << "    \"" << name << "\": {\"prep_ms\": " << p.prep_ms
@@ -640,6 +752,12 @@ void WriteJson(const char* path, int cores, const std::vector<SchedRun>& sched,
   side_json("pool", forward.pool);
   out << ",\n    \"speedup\": "
       << forward.one_slot.us_p50 / forward.pool.us_p50 << "\n";
+  out << "  },\n  \"dcgbe_twin_copy\": {\"shape\": \"ring104_burst\", "
+      << "\"requests\": " << copies.states << ", \"twins\": "
+      << copies.copies << ", \"forward_us_p50\": " << copies.forward_us_p50
+      << ", \"copy_us_p50\": " << copies.copy_us_p50
+      << ", \"own_digest\": \"" << Hex(copies.fresh_digest)
+      << "\", \"copied_digest\": \"" << Hex(copies.twin_digest) << "\"\n";
   out << "  },\n  \"dcgbe_update\": {\n    \"shape\": \"ring104\", \"steps\": "
       << backward.steps << ", \"tiles\": " << backward.tiles
       << ", \"pool_slots\": " << backward.slots << ", \"reps\": "
@@ -746,28 +864,50 @@ int main(int argc, char** argv) {
     }
   }
 
-  // DCG-BE: paper_dual's 104-cluster ring (kCluster) and a node-level LAN
-  // mesh whose degrees exceed GraphSAGE's p = 3.
+  // DCG-BE: paper_dual's 104-cluster ring (kCluster), where every state
+  // differs; the same ring drained in bursts of 6 requests per view, two
+  // services alternating, where 4 of each view's 6 decisions are twins;
+  // and a node-level LAN mesh whose degrees exceed GraphSAGE's p = 3.
   const int dcgbe_decisions = smoke ? 48 : 320;
+  constexpr int kBurst = 6;
   const std::vector<DcgBeRow> dcgbe = {
       TimeDcgBe("ring104", 104, 10, sched::BeGranularity::kCluster,
                 dcgbe_decisions),
+      TimeDcgBe("ring104_burst", 104, 10, sched::BeGranularity::kCluster,
+                dcgbe_decisions, kBurst, {kBeBackup, kBeAnalytics}),
       TimeDcgBe("mesh128", 8, 16, sched::BeGranularity::kNode,
                 dcgbe_decisions)};
+  const DcgBeRow& ring = dcgbe[0];
+  const DcgBeRow& burst = dcgbe[1];
   std::vector<std::vector<std::string>> dcgbe_rows;
   for (const auto& r : dcgbe) {
     dcgbe_rows.push_back(
         {r.label, std::to_string(r.nodes), std::to_string(r.decisions),
          eval::Fmt(r.act_us_p50, 0), eval::Fmt(r.act_us_p95, 0),
-         std::to_string(r.updates), eval::Fmt(r.update_ms_p50, 2),
-         eval::Fmt(r.update_ms_max, 2),
+         std::to_string(r.twins), eval::Fmt(r.twin_act_us_p50, 0),
+         eval::Fmt(r.fresh_act_us_p50, 0), std::to_string(r.updates),
+         eval::Fmt(r.update_ms_p50, 2), eval::Fmt(r.update_ms_max, 2),
          std::to_string(r.reuse_hits) + "/" + std::to_string(r.reuse_misses)});
   }
   eval::PrintTable("DCG-BE learner (GraphSAGE A2C, n^ = 16)",
                    {"shape", "nodes", "decisions", "act p50 us", "act p95 us",
+                    "twins", "twin act p50 us", "fresh act p50 us",
                     "updates", "update p50 ms", "update max ms",
                     "reuse hit/miss"},
                    dcgbe_rows);
+
+  // The burst's forwards each run afresh, and its twins' also copied.
+  const TwinCopyRow copies =
+      smoke ? TimeTwinCopies(4, kBurst) : TimeTwinCopies(32, kBurst);
+  eval::PrintTable(("DCG-BE twin copies (ring104 burst, " +
+                    std::to_string(copies.states) + " requests, " +
+                    std::to_string(copies.copies) + " twins)")
+                       .c_str(),
+                   {"forward", "p50 us", "logits+value digest"},
+                   {{"every request's own", eval::Fmt(copies.forward_us_p50, 0),
+                     Hex(copies.fresh_digest)},
+                    {"twins copied", eval::Fmt(copies.copy_us_p50, 0),
+                     Hex(copies.twin_digest)}});
 
   // Act()'s forward over identical ring104 states, on one slot (a
   // shut-down pool) and on the learner pool.
@@ -858,12 +998,33 @@ int main(int argc, char** argv) {
                       accounted);
     ok = ok && accounted;
   }
-  const bool ring_reused = dcgbe[0].reuse_misses == 0;
+  const bool ring_reused = ring.reuse_misses == 0;
   bench::PaperCheck("DCG-BE ring reuses every act-time forward",
                     "0 misses (degree 2 <= p = 3)",
-                    std::to_string(dcgbe[0].reuse_misses) + " misses",
+                    std::to_string(ring.reuse_misses) + " misses",
                     ring_reused);
   ok = ok && ring_reused;
+  // Twins: none where every state differs, some in a drain.
+  const bool ring_no_twins = ring.twins == 0;
+  bench::PaperCheck("DCG-BE ring copies no forward (every state differs)",
+                    "0 twins", std::to_string(ring.twins) + " twins",
+                    ring_no_twins);
+  ok = ok && ring_no_twins;
+  const bool burst_twins = burst.twins > 0;
+  bench::PaperCheck("DCG-BE burst copies its twins' forwards", "> 0 twins",
+                    std::to_string(burst.twins) + " of " +
+                        std::to_string(burst.decisions) + " decisions",
+                    burst_twins);
+  ok = ok && burst_twins;
+  // A copy carries the bits of the forward it stands for.
+  const bool copies_exact =
+      copies.copies > 0 && copies.twin_digest == copies.fresh_digest;
+  bench::PaperCheck("DCG-BE twin copies are bit-identical",
+                    "copied = own forwards",
+                    Hex(copies.twin_digest) + " / " +
+                        Hex(copies.fresh_digest),
+                    copies_exact);
+  ok = ok && copies_exact;
   // The banded forward is exact: one slot and the pool produce the same
   // logits and values.
   const bool forward_exact = forward.one_slot.digest == forward.pool.digest;
@@ -902,7 +1063,7 @@ int main(int argc, char** argv) {
 
   if (!smoke && !custom && bench::ShouldWriteBench("BENCH_sched.json", cores)) {
     WriteJson("BENCH_sched.json", cores, sched, phases, e2e_s, reps, dcgbe,
-              forward, backward);
+              forward, copies, backward);
     std::printf("\nwrote BENCH_sched.json\n");
   }
   if (!ok) {

@@ -663,4 +663,37 @@ void BackwardSteps(const Var& root, const std::vector<Var>& step_losses,
   split.Replay(pool);
 }
 
+// ---- Tape copy -----------------------------------------------------------
+
+std::vector<Var> CloneTape(const std::vector<Var>& roots) {
+  // The tape parents first, each node once: the order a forward makes it.
+  std::unordered_set<Node*> seen;
+  std::vector<Var> order;
+  for (const Var& root : roots) Topo(root, seen, order);
+  // Every entry exists before the first copy, so the copies' allocations
+  // follow one another as the forward's did. Leaves map to themselves.
+  std::unordered_map<const Node*, Var> copy_of;
+  copy_of.reserve(order.size());
+  std::int64_t constants = 0;
+  for (const Var& v : order) {
+    copy_of.emplace(v.get(), v);
+    if (v->parents.empty() && !v->requires_grad) ++constants;
+  }
+  for (const Var& v : order) {
+    if (v->parents.empty()) continue;
+    Matrix value = v->value;
+    std::vector<Var> parents;
+    parents.reserve(v->parents.size());
+    for (const Var& p : v->parents) parents.push_back(copy_of.at(p.get()));
+    copy_of[v.get()] =
+        MakeNode(std::move(value), std::move(parents), v->backward, v->op);
+  }
+  // The forward made its constants too.
+  node_count.fetch_add(constants, std::memory_order_relaxed);
+  std::vector<Var> copies;
+  copies.reserve(roots.size());
+  for (const Var& root : roots) copies.push_back(copy_of.at(root.get()));
+  return copies;
+}
+
 }  // namespace tango::nn

@@ -133,6 +133,18 @@ class SplitBackward {
 void BackwardSteps(const Var& root, const std::vector<Var>& step_losses,
                    ThreadPool& pool);
 
+/// A copy of the tape under `roots`, for a forward that would repeat it bit
+/// for bit (DESIGN.md §14, "Twin forwards"). Every node with parents gets a
+/// fresh node holding a copy of its value, the same op and backward, and
+/// its parents' copies as parents; parameters and constants are shared, and
+/// no gradient is copied, so the copy's backward adds into the parameters
+/// exactly what the forward it stands for would. The copies are made
+/// parents first, each value allocated before its node, in the order the
+/// forward made them, and NodeCount() advances by every node of the tape
+/// but the parameters, as that forward's did. Returns the copies of
+/// `roots`, in order.
+std::vector<Var> CloneTape(const std::vector<Var>& roots);
+
 // ---- Ops (all return fresh nodes) ----------------------------------------
 
 Var MatMul(const Var& a, const Var& b);

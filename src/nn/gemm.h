@@ -91,9 +91,10 @@ TANGO_HOT void MatMulTransBInto(const Matrix& a, const Matrix& b,
 /// from here, and A2C's Act() samples from it.
 Matrix SoftmaxProbs(const Matrix& logits, const Matrix* mask);
 
-/// Running count of autograd tape nodes ever created (relaxed atomic).
-/// Tests read it to bound how many nodes a call allocates. Defined in
-/// autograd.cpp; declared here so tape-free code can read it.
+/// Running count of autograd tape nodes ever created (relaxed atomic);
+/// CloneTape also counts the constants it shares, as the forward it copies
+/// created them. Tests read it to bound how many nodes a call allocates.
+/// Defined in autograd.cpp; declared here so tape-free code can read it.
 std::int64_t NodeCount();
 
 }  // namespace tango::nn

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -90,6 +91,22 @@ Var A2cAgent::PolicyLogits(const GraphState& s,
   return logits;
 }
 
+const A2cAgent::Step* A2cAgent::FindTwin(
+    const GraphState& s, const gnn::NeighbourSample& sample) const {
+  // The context filter c_t is not part of the key: the forward never
+  // reads it. The features compare by bits, so -0.0 and +0.0 differ.
+  const Matrix& f = s.graph.features;
+  for (auto it = rollout_.rbegin(); it != rollout_.rend(); ++it) {
+    const Matrix& g = it->state.graph.features;
+    if (g.SameShape(f) &&
+        std::memcmp(g.data(), f.data(), f.size() * sizeof(float)) == 0 &&
+        it->sample == sample && it->state.graph.adj == s.graph.adj) {
+      return &*it;
+    }
+  }
+  return nullptr;
+}
+
 int A2cAgent::Act(const GraphState& state, bool greedy) {
   const int n = state.graph.num_nodes();
   TANGO_CHECK(n > 0, "empty graph state");
@@ -97,7 +114,14 @@ int A2cAgent::Act(const GraphState& state, bool greedy) {
   Step step;
   step.state = state;
   step.sample = encoder_->Sample(step.state.graph, rng_);
-  step.logits = PolicyLogits(step.state, step.sample, &step.value);
+  if (const Step* twin = FindTwin(step.state, step.sample)) {
+    const std::vector<Var> copy = nn::CloneTape({twin->logits, twin->value});
+    step.logits = copy[0];
+    step.value = copy[1];
+    ++twin_forwards_;
+  } else {
+    step.logits = PolicyLogits(step.state, step.sample, &step.value);
+  }
   step.action =
       SampleRow(nn::SoftmaxProbs(step.logits->value, &mask), rng_, greedy);
   pending_ = std::move(step);
@@ -118,11 +142,17 @@ void A2cAgent::Observe(float reward, const GraphState& next_state, bool done) {
 void A2cAgent::Train(const GraphState& bootstrap_state, bool done) {
   if (rollout_.empty()) return;
   // Bootstrap value of the state following the last stored step; only the
-  // critic reads it.
+  // critic reads it, and a twin in the rollout has already computed it.
   float boot = 0.0f;
   if (!done && bootstrap_state.graph.num_nodes() > 0) {
-    const Var h = encoder_->Encode(bootstrap_state.graph, rng_);
-    boot = nn::ScalarValue(critic_.Forward(MeanPool(h)));
+    const gnn::NeighbourSample sample =
+        encoder_->Sample(bootstrap_state.graph, rng_);
+    if (const Step* twin = FindTwin(bootstrap_state, sample)) {
+      boot = nn::ScalarValue(twin->value);
+    } else {
+      const Var h = encoder_->Forward(bootstrap_state.graph, sample);
+      boot = nn::ScalarValue(critic_.Forward(MeanPool(h)));
+    }
   }
   // Discounted returns, newest-to-oldest.
   std::vector<float> returns(rollout_.size());

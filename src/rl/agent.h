@@ -72,6 +72,15 @@ struct A2cConfig {
 /// otherwise it rebuilds the step's forward on the new sample. Either way
 /// the parameters and actions are bit-identical to re-running every forward
 /// at update time and to one serial Backward.
+///
+/// A forward reads only the parameters, the features, the adjacency and
+/// the neighbour sample, and the parameters change only in Train(), after
+/// which the rollout is emptied. So a decision, or the update's bootstrap
+/// value, whose features (bit for bit), adjacency and sample equal those
+/// of an earlier step of the rollout takes that twin's forward: a copy of
+/// its tape (nn::CloneTape) for a decision, its critic value for the
+/// bootstrap. The sample is still drawn first, so the RNG stream, the
+/// actions and the parameters stay those of a forward per decision.
 class A2cAgent : public Agent {
  public:
   explicit A2cAgent(const A2cConfig& cfg);
@@ -87,6 +96,8 @@ class A2cAgent : public Agent {
   /// re-ran because the update's neighbour sample differed.
   std::int64_t reuse_hits() const { return reuse_hits_; }
   std::int64_t reuse_misses() const { return reuse_misses_; }
+  /// Decisions that copied a twin's forward instead of running their own.
+  std::int64_t twin_forwards() const { return twin_forwards_; }
 
  private:
   struct Step {
@@ -102,6 +113,10 @@ class A2cAgent : public Agent {
   nn::Var PolicyLogits(const GraphState& s,
                        const gnn::NeighbourSample& sample,
                        nn::Var* value_out);
+  /// The newest rollout step whose forward a forward of `s` over `sample`
+  /// would repeat bit for bit, or null.
+  const Step* FindTwin(const GraphState& s,
+                       const gnn::NeighbourSample& sample) const;
   void Train(const GraphState& bootstrap_state, bool done);
 
   A2cConfig cfg_;
@@ -116,6 +131,7 @@ class A2cAgent : public Agent {
   std::int64_t train_steps_ = 0;
   std::int64_t reuse_hits_ = 0;
   std::int64_t reuse_misses_ = 0;
+  std::int64_t twin_forwards_ = 0;
 };
 
 struct SacConfig {

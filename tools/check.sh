@@ -5,7 +5,8 @@
 # (thread pool, harness fan-out, TangoScope emission, sharded engine, and
 # the A2C learner's banded decision forward and split backward on the
 # shared learner pool: LearnerPins, A2cAgent, BackwardSteps, MlpForward,
-# NeighbourMean), an FMA configure (Release, -march=x86-64-v3, skipped on a
+# NeighbourMean; the twin-forward tests A2cAgentTwins and
+# LearnerPinsOnADrain match the first two), an FMA configure (Release, -march=x86-64-v3, skipped on a
 # host without AVX2 and FMA) that runs the learner's bit-identity tests on
 # a target whose every multiply-add could fuse, a TangoAudit configure
 # (-DTANGO_AUDIT=ON) that runs the full suite plus the perf_sched and
@@ -101,8 +102,10 @@ if [[ "$what" == "all" || "$what" == "tsan" ]]; then
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
   # LearnerPins, A2cAgent and BackwardSteps drive the A2C update's step
   # fan-out, parameter replay and Adam tiles on the learner pool, two
-  # learners at once included; MlpForward drives the decision forward's
-  # row bands on live pools, and NeighbourMean the sparse mean it reads.
+  # learners at once included, over act-time tapes and their twin copies
+  # (LearnerPinsOnADrain, A2cAgentTwins); MlpForward drives the decision
+  # forward's row bands on live pools, and NeighbourMean the sparse mean it
+  # reads.
   run_config tsan "$repo_root/build-tsan" \
     -R 'ThreadPool|DssLc|Harness|Experiment|Scope|Shard|Mailbox|LearnerPins|A2cAgent|BackwardSteps|MlpForward|NeighbourMean' \
     -DTANGO_TSAN=ON -DTANGO_SCOPE=ON
